@@ -76,6 +76,7 @@ from .thresholds import (
     ThresholdReport,
     compute_thresholds,
     critical_gains,
+    min_density_auto,
     resilience_report,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "min_density_exact",
     "min_density_heuristic",
     "min_density_closed_form",
+    "min_density_auto",
     "remove_edges",
     "EXACT_VERTEX_CAP",
     "mu2",

@@ -17,17 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PwsVectorField, SigmaQuadCertificate, SwitchTerm
+from .dynamics import PwsVectorField, SigmaQuadCertificate, SwitchTerm, certificate_from_decomposition
 from .graphs import (
     Graph,
     generate_topology,
+    graph_to_text,
     read_graph_file,
     write_graph_file,
 )
-from .min_density import EXACT_VERTEX_CAP, min_density_exact, min_density_heuristic
-from .presets import relay_feedback_system
+from .min_density import min_density_exact, min_density_heuristic
+from .presets import relay_certificate, relay_feedback_system
 from .simulate import SimConfig, simulate, write_run_csv, write_run_metadata
-from .thresholds import ThresholdReport, compute_thresholds, resilience_report
+from .thresholds import ThresholdReport, compute_thresholds, min_density_auto, resilience_report
 
 __all__ = ["main", "ExperimentConfig", "load_experiment_config", "ConfigError"]
 
@@ -113,18 +114,14 @@ def _parse_system(doc: dict) -> tuple[PwsVectorField, SigmaQuadCertificate, np.n
         terms.append(SwitchTerm(gain=gain, coordinate=coord))
     field = PwsVectorField(a=a, d=d, switch_terms=tuple(terms))
 
-    p = _matrix(sys_doc["p"], "system.p") if "p" in sys_doc else np.eye(n)
-    if p.shape != (n, n):
-        raise ConfigError(f"system.p: expected {n}x{n}, got {p.shape}")
-    q = p @ a
+    p = _matrix(sys_doc["p"], "system.p") if "p" in sys_doc else None
+    m = None
     if "m" in sys_doc:
         m = _matrix(sys_doc["m"], "system.m")
         if m.shape != (n, n):
             raise ConfigError(f"system.m: expected {n}x{n}, got {m.shape}")
-    else:
-        m = np.diag(np.abs(p) @ field.switching_bound())
     try:
-        cert = SigmaQuadCertificate(p, q, m)
+        cert = certificate_from_decomposition(field, p, m)
     except ValueError as exc:
         raise ConfigError(f"system.p: {exc}") from exc
 
@@ -211,12 +208,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     )
 
 
-def _resolve_gains(cfg: ExperimentConfig) -> tuple[float, float, ThresholdReport | None]:
-    """Numeric gains from the document, or AUTO_GAIN_FACTOR times the thresholds."""
-    if not cfg.gains_auto:
-        assert cfg.c is not None and cfg.cd is not None
-        return cfg.c, cfg.cd, None
-    report = compute_thresholds(
+def _thresholds(cfg: ExperimentConfig) -> ThresholdReport:
+    return compute_thresholds(
         cfg.cert,
         cfg.gamma,
         cfg.gamma_d,
@@ -225,6 +218,14 @@ def _resolve_gains(cfg: ExperimentConfig) -> tuple[float, float, ThresholdReport
         field=cfg.field,
         heuristic_seed=cfg.seed,
     )
+
+
+def _resolve_gains(cfg: ExperimentConfig) -> tuple[float, float, ThresholdReport | None]:
+    """Numeric gains from the document, or AUTO_GAIN_FACTOR times the thresholds."""
+    if not cfg.gains_auto:
+        assert cfg.c is not None and cfg.cd is not None
+        return cfg.c, cfg.cd, None
+    report = _thresholds(cfg)
     if report.hypotheses.certificate_verified is False:
         raise ConfigError(
             "gains: auto gains need the certificate hypothesis to hold, but a sampled "
@@ -298,22 +299,18 @@ def _cmd_topology(args) -> int:
         write_graph_file(g, args.out)
         print(f"wrote {args.kind} graph with N={g.n_vertices}, {g.n_edges} edges to {args.out}")
     else:
-        sys.stdout.write(_graph_text(g))
+        sys.stdout.write(graph_to_text(g))
     return 0
-
-
-def _graph_text(g: Graph) -> str:
-    from .graphs import graph_to_text
-
-    return graph_to_text(g)
 
 
 def _cmd_mindensity(args) -> int:
     g = read_graph_file(args.graph)
-    if args.heuristic or (g.n_vertices > EXACT_VERTEX_CAP and not args.exact):
+    if args.exact:
+        result = min_density_exact(g)
+    elif args.heuristic:
         result = min_density_heuristic(g, seed=args.seed)
     else:
-        result = min_density_exact(g)
+        result = min_density_auto(g, seed=args.seed)
     cut = result.sparsest_cut
     print(f"delta = {_fmt(result.delta)} ({result.method})")
     print(f"side 1 ({cut.n1} vertices): {' '.join(map(str, cut.side1()))}")
@@ -323,16 +320,7 @@ def _cmd_mindensity(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    cfg = load_experiment_config(args.config)
-    report = compute_thresholds(
-        cfg.cert,
-        cfg.gamma,
-        cfg.gamma_d,
-        cfg.g_diffusive,
-        cfg.g_discontinuous,
-        field=cfg.field,
-        heuristic_seed=cfg.seed,
-    )
+    report = _thresholds(load_experiment_config(args.config))
     print(format_threshold_report(report))
     if args.json:
         payload = json.dumps(threshold_report_json(report), indent=2, sort_keys=True) + "\n"
@@ -444,8 +432,6 @@ def _cmd_paper_demo(args) -> int:
     seed = args.seed
 
     field = relay_feedback_system()
-    from .presets import relay_certificate
-
     cert = relay_certificate()
     n = 30
     g_diff = generate_topology("ring", n)
@@ -481,7 +467,7 @@ def _cmd_paper_demo(args) -> int:
         write_run_metadata(run, out_dir / f"{name}_meta.json")
         runs[name] = (c, cd, run)
 
-    density_cut = min_density_heuristic(g_disc, seed=seed).sparsest_cut
+    density_cut = report.density.sparsest_cut
     lines = [
         f"two-layer synchronization demo (seed {seed})",
         f"nodes: {n} relay feedback systems (3 states each)",

@@ -128,22 +128,21 @@ class SigmaQuadCertificate:
         return self.p.shape[0]
 
 
-def certificate_from_decomposition(f: PwsVectorField, p=None) -> SigmaQuadCertificate:
+def certificate_from_decomposition(f: PwsVectorField, p=None, m=None) -> SigmaQuadCertificate:
     """Constructive certificate for a decomposed field: Q = P A, M = diag(|P| m).
 
     Q is taken as P A exactly (the quadratic form of the affine part under P),
     not a symmetrised bound, so downstream mu2(Q) matches mu2 of the raw
-    coupling matrix when P is the identity.
+    coupling matrix when P is the identity. An explicit M replaces the
+    constructive jump budget as given.
     """
     n = f.dimension
     p = np.eye(n) if p is None else np.asarray(p, dtype=np.float64)
     if p.shape != (n, n):
         raise ValueError(f"P must be {n}x{n}, got {p.shape}")
-    if not np.allclose(p, p.T, atol=1e-12) or np.linalg.eigvalsh((p + p.T) / 2.0)[0] <= 0.0:
-        raise ValueError("P must be symmetric positive definite")
-    q = p @ f.a
-    m = np.diag(np.abs(p) @ f.switching_bound())
-    return SigmaQuadCertificate(p, q, m)
+    if m is None:
+        m = np.diag(np.abs(p) @ f.switching_bound())
+    return SigmaQuadCertificate(p, p @ f.a, m)
 
 
 @dataclass(frozen=True)

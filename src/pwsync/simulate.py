@@ -114,23 +114,35 @@ def _coupling_sign(y: np.ndarray, config: SimConfig) -> np.ndarray:
     return np.sign(y)
 
 
-def coupling(states: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Control input of every node for the given stacked states (N, n).
+def _coupling_operator(config: SimConfig):
+    """The map X -> U of stacked states (N, n) to control inputs, built once per config.
 
     Both layers are evaluated through their incidence factorisation
     (L = B B^T), i.e. on pairwise state differences, so the coupling is
     *exactly* zero on the synchronization manifold; the L @ X form leaves
     FMA-order residuals that a chaotic node field then amplifies.
     """
-    states = np.asarray(states, dtype=np.float64)
     b = incidence(config.graph_diffusive).astype(np.float64)
     b_d = incidence(config.graph_discontinuous).astype(np.float64)
-    u = np.zeros_like(states)
-    if b.shape[1]:
-        u -= config.c * (b @ (b.T @ states)) @ config.gamma.T
-    if b_d.shape[1]:
-        u -= config.cd * (b_d @ _coupling_sign(b_d.T @ states, config)) @ config.gamma_d.T
+    b_t = b.T.copy()
+    b_d_t = b_d.T.copy()
+    c_gamma_t = config.c * config.gamma.T
+    cd_gamma_d_t = config.cd * config.gamma_d.T
+
+    def u(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        if b_t.shape[0]:
+            out -= (b @ (b_t @ x)) @ c_gamma_t
+        if b_d_t.shape[0]:
+            out -= (b_d @ _coupling_sign(b_d_t @ x, config)) @ cd_gamma_d_t
+        return out
+
     return u
+
+
+def coupling(states: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Control input of every node for the given stacked states (N, n)."""
+    return _coupling_operator(config)(np.asarray(states, dtype=np.float64))
 
 
 def error_metrics(states: np.ndarray) -> tuple[float, np.ndarray]:
@@ -149,18 +161,14 @@ def simulate(config: SimConfig) -> SimulationRun:
     """Explicit-Euler run; e_tot is recorded at every step.
 
     Deterministic for a fixed config (including seed). If the state stops
-    being finite the run is truncated at the last finite step and flagged.
+    being finite the run is truncated at the last finite step and flagged;
+    final_states is then the state at that step.
     """
     x = config.initial()
     n_steps = int(round(config.t_end / config.dt))
     field_ = config.node_field
 
-    b_diff = incidence(config.graph_diffusive).astype(np.float64)
-    b_d = incidence(config.graph_discontinuous).astype(np.float64)
-    b_diff_t = b_diff.T.copy()
-    c_gamma_t = config.c * config.gamma.T
-    cd_gamma_dt = config.cd * config.gamma_d.T
-    b_dt = b_d.T.copy()
+    u = _coupling_operator(config)
     a_t = field_.a.T.copy()
     d_vec = field_.d
     switch = [(term.gain, term.coordinate) for term in field_.switch_terms]
@@ -182,19 +190,14 @@ def simulate(config: SimConfig) -> SimulationRun:
             drift = x @ a_t + d_vec
             for gain, coord in switch:
                 drift -= np.sign(x[:, coord])[:, None] * gain
-            # incidence form: exactly zero coupling on the synchronization manifold
-            u = np.zeros_like(x)
-            if b_diff_t.shape[0]:
-                u -= (b_diff @ (b_diff_t @ x)) @ c_gamma_t
-            if b_dt.shape[0]:
-                u -= (b_d @ _coupling_sign(b_dt @ x, config)) @ cd_gamma_dt
-            x = x + config.dt * (drift + u)
-            dev = x - x.mean(axis=0)
+            x_next = x + config.dt * (drift + u(x))
+            dev = x_next - x_next.mean(axis=0)
             e_tot[k] = np.sqrt((dev * dev).sum(axis=1)).mean()
-            if not (np.all(np.isfinite(x)) and np.isfinite(e_tot[k])):
+            if not (np.all(np.isfinite(x_next)) and np.isfinite(e_tot[k])):
                 diverged = True
                 last = k - 1
                 break
+            x = x_next
             if config.store_trajectory and (k % config.decimation == 0 or k == n_steps):
                 frames.append(x.copy())
                 frame_idx.append(k)
@@ -202,24 +205,17 @@ def simulate(config: SimConfig) -> SimulationRun:
     if diverged:
         times = times[: last + 1]
         e_tot = e_tot[: last + 1]
-        if config.store_trajectory:
-            keep = [i for i, k in enumerate(frame_idx) if k <= last]
-            frames = [frames[i] for i in keep]
-            frame_idx = [frame_idx[i] for i in keep]
-        final = frames[-1] if frames else config.initial()
-    else:
-        final = x
 
     run = SimulationRun(
         times=times,
         e_tot_series=e_tot,
-        final_states=final,
+        final_states=x,
         diverged=diverged,
         config_summary=_config_summary(config),
     )
     if config.store_trajectory:
         run.trajectory_times = np.asarray(frame_idx, dtype=np.float64) * config.dt
-        run.trajectory = np.stack(frames) if frames else None
+        run.trajectory = np.stack(frames)
     return run
 
 

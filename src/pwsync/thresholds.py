@@ -21,9 +21,10 @@ import numpy as np
 from .dynamics import PwsVectorField, SigmaQuadCertificate, verify_sigma_quad
 from .graphs import Graph, algebraic_connectivity, is_connected
 from .matrix_measures import mu2, mu2_lower, mu_inf, mu_inf_lower
-from .min_density import EXACT_VERTEX_CAP, min_density_exact, min_density_heuristic, remove_edges
+from .min_density import EXACT_VERTEX_CAP, MinDensityResult, min_density_exact, min_density_heuristic, remove_edges
 
 __all__ = [
+    "min_density_auto",
     "HypothesisRecord",
     "ThresholdReport",
     "critical_gains",
@@ -34,6 +35,16 @@ __all__ = [
 
 # Strictly-positive checks on the inner-coupling measures use this margin.
 POSITIVITY_TOLERANCE = 1e-12
+
+
+def min_density_auto(g: Graph, *, seed: int = 0, exact_cap: int = EXACT_VERTEX_CAP) -> MinDensityResult:
+    """Minimum density: exact enumeration up to exact_cap vertices, Kernighan-Lin beyond.
+
+    The result's method names the solver that ran; only "exact" is certified.
+    """
+    if g.n_vertices <= exact_cap:
+        return min_density_exact(g, max_vertices=exact_cap)
+    return min_density_heuristic(g, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -63,13 +74,21 @@ class ThresholdReport:
     c_star: float
     cd_star: float
     lambda2: float
-    delta_d: float
+    density: MinDensityResult  # delta_d, the solver that found it, and its sparsest cut
     mu2_q: float
     mu2_lower_p_gamma: float
     mu_inf_m: float
     mu_inf_lower_p_gamma_d: float
-    delta_method: str  # "exact" | "heuristic"
     hypotheses: HypothesisRecord
+
+    @property
+    def delta_d(self) -> float:
+        return self.density.delta
+
+    @property
+    def delta_method(self) -> str:
+        """Solver that produced delta_d: "exact" or "heuristic"."""
+        return self.density.method
 
     @property
     def delta_certified(self) -> bool:
@@ -96,6 +115,16 @@ def critical_gains(
     return c_star, cd_star
 
 
+def _discontinuous_measures(cert: SigmaQuadCertificate, gamma_d) -> tuple[float, float]:
+    """mu_inf(M) and mu_inf_lower(P Gamma_d), the latter required strictly positive."""
+    mil = mu_inf_lower(cert.p @ np.asarray(gamma_d, dtype=np.float64))
+    if mil <= POSITIVITY_TOLERANCE:
+        raise ValueError(
+            f"hypothesis violated: mu_inf_lower(P @ Gamma_d) = {mil:.6g} is not strictly positive"
+        )
+    return mu_inf(cert.m), mil
+
+
 def compute_thresholds(
     cert: SigmaQuadCertificate,
     gamma: np.ndarray,
@@ -114,12 +143,10 @@ def compute_thresholds(
     Violated hypotheses raise ValueError naming the failed clause. When the
     node field is supplied, the certificate is additionally spot-checked by
     sampling (recorded in the hypothesis record, never raising: a sampled
-    check can only falsify). The minimum density solver is exact up to
-    exact_cap vertices and the Kernighan-Lin heuristic beyond, flagged in
-    delta_method.
+    check can only falsify). The minimum density comes from min_density_auto
+    and is kept whole in the report's density field.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
-    gamma_d = np.asarray(gamma_d, dtype=np.float64)
     if g_diffusive.n_vertices != g_discontinuous.n_vertices:
         raise ValueError("both coupling layers must share the vertex set")
     if not is_connected(g_diffusive):
@@ -128,28 +155,20 @@ def compute_thresholds(
         raise ValueError("hypothesis violated: discontinuous layer graph is not connected")
 
     m2l = mu2_lower(cert.p @ gamma)
-    mil = mu_inf_lower(cert.p @ gamma_d)
     if m2l <= POSITIVITY_TOLERANCE:
         raise ValueError(
             f"hypothesis violated: mu2_lower(P @ Gamma) = {m2l:.6g} is not strictly positive"
         )
-    if mil <= POSITIVITY_TOLERANCE:
-        raise ValueError(
-            f"hypothesis violated: mu_inf_lower(P @ Gamma_d) = {mil:.6g} is not strictly positive"
-        )
+    mu_inf_m, mil = _discontinuous_measures(cert, gamma_d)
 
     lambda2 = algebraic_connectivity(g_diffusive)
-    if g_discontinuous.n_vertices <= exact_cap:
-        density = min_density_exact(g_discontinuous, max_vertices=exact_cap)
-    else:
-        density = min_density_heuristic(g_discontinuous, seed=heuristic_seed)
+    density = min_density_auto(g_discontinuous, seed=heuristic_seed, exact_cap=exact_cap)
 
     verified: bool | None = None
     if field is not None:
         verified = verify_sigma_quad(field, cert, n_samples=verify_samples, seed=verify_seed).holds
 
     mu2_q = mu2(cert.q)
-    mu_inf_m = mu_inf(cert.m)
     c_star, cd_star = critical_gains(mu2_q, lambda2, m2l, mu_inf_m, density.delta, mil)
     record = HypothesisRecord(
         certificate_verified=verified,
@@ -162,12 +181,11 @@ def compute_thresholds(
         c_star=c_star,
         cd_star=cd_star,
         lambda2=lambda2,
-        delta_d=density.delta,
+        density=density,
         mu2_q=mu2_q,
         mu2_lower_p_gamma=m2l,
         mu_inf_m=mu_inf_m,
         mu_inf_lower_p_gamma_d=mil,
-        delta_method=density.method,
         hypotheses=record,
     )
 
@@ -200,13 +218,7 @@ def resilience_report(
     rather than aborting the batch. Results are sorted by cd_star ascending
     (most resilient first); error entries sort last.
     """
-    gamma_d = np.asarray(gamma_d, dtype=np.float64)
-    mil = mu_inf_lower(cert.p @ gamma_d)
-    if mil <= POSITIVITY_TOLERANCE:
-        raise ValueError(
-            f"hypothesis violated: mu_inf_lower(P @ Gamma_d) = {mil:.6g} is not strictly positive"
-        )
-    mu_inf_m = mu_inf(cert.m)
+    mu_inf_m, mil = _discontinuous_measures(cert, gamma_d)
 
     results: list[ScenarioResult] = []
     for idx, edges in enumerate(removal_scenarios):
@@ -216,10 +228,7 @@ def resilience_report(
             g = remove_edges(base, removed)
             if not is_connected(g):
                 raise ValueError("removal disconnects the graph")
-            if g.n_vertices <= exact_cap:
-                density = min_density_exact(g, max_vertices=exact_cap)
-            else:
-                density = min_density_heuristic(g, seed=heuristic_seed)
+            density = min_density_auto(g, seed=heuristic_seed, exact_cap=exact_cap)
         except ValueError as exc:
             results.append(ScenarioResult(label, removed, None, None, None, str(exc)))
             continue

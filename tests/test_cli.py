@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import pwsync as ps
-from pwsync.cli import main
+import pwsync.cli
+import pwsync.thresholds
+from pwsync.cli import ConfigError, load_experiment_config, main
 
 RELAY_A = [[1.51, 1.0, 0.0], [-99.922, 0.0, 1.0], [-5.0, 0.0, 0.0]]
 
@@ -137,6 +139,43 @@ def test_thresholds_bad_config_schema_names_field(tmp_path, capsys):
     assert "layers.diffusive" in err
 
 
+def test_config_p_builds_the_constructive_certificate(tmp_path):
+    doc = json.loads(write_config(tmp_path / "base.json").read_text())
+    doc["system"]["p"] = (2.0 * np.eye(3)).tolist()
+    cfg = write_config(tmp_path / "cfg.json", system=doc["system"])
+    loaded = load_experiment_config(cfg)
+    cert = loaded.cert
+    expected = ps.certificate_from_decomposition(loaded.field, 2.0 * np.eye(3))
+    for got, want in ((cert.p, expected.p), (cert.q, expected.q), (cert.m, expected.m)):
+        assert np.array_equal(got, want)
+
+
+def test_config_explicit_m_is_used_as_given(tmp_path):
+    doc = json.loads(write_config(tmp_path / "base.json").read_text())
+    m = [[3.0, 0.5, 0.0], [0.5, 7.0, 0.0], [0.0, 0.0, 1.0]]
+    doc["system"]["m"] = m
+    cert = load_experiment_config(write_config(tmp_path / "cfg.json", system=doc["system"])).cert
+    assert np.array_equal(cert.m, m)
+    assert np.array_equal(cert.q, RELAY_A)
+
+
+@pytest.mark.parametrize(
+    "key, value, prefix",
+    [
+        ("p", [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], "system.p:"),
+        ("m", [[1.0, 0.0], [0.0, 1.0]], "system.m:"),
+    ],
+    ids=["non_spd_p", "misshapen_m"],
+)
+def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix):
+    doc = json.loads(write_config(tmp_path / "base.json").read_text())
+    doc["system"][key] = value
+    cfg = write_config(tmp_path / "cfg.json", system=doc["system"])
+    with pytest.raises(ConfigError) as info:
+        load_experiment_config(cfg)
+    assert str(info.value).startswith(prefix)
+
+
 def test_thresholds_invalid_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -246,3 +285,18 @@ def test_paper_demo_writes_artifacts(tmp_path, capsys):
     assert "above-threshold run" in summary
     gd = ps.read_graph_file(out / "graph_discontinuous.txt")
     assert gd.n_vertices == 30 and ps.is_connected(gd)
+
+
+def test_paper_demo_solves_delta_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    heuristic = ps.min_density_heuristic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return heuristic(*args, **kwargs)
+
+    monkeypatch.setattr(pwsync.thresholds, "min_density_heuristic", counted)
+    monkeypatch.setattr(pwsync.cli, "min_density_heuristic", counted)
+    assert main(["paper-demo", "--t-end", "0.01", "--out", str(tmp_path / "demo")]) == 0
+    assert len(calls) == 1
+    assert "sparsest cut found" in (tmp_path / "demo" / "summary.txt").read_text()

@@ -162,6 +162,22 @@ def test_divergence_is_truncated_and_flagged():
     assert run.times[-1] < 50.0
 
 
+@pytest.mark.parametrize("store_trajectory", [False, True])
+def test_diverged_run_keeps_last_finite_state(relay, store_trajectory):
+    # explicit Euler is unstable here (dt * c * lambda_max(L) is about 4.8)
+    cfg = ps.SimConfig(
+        node_field=relay,
+        graph_diffusive=ps.ring_graph(30),
+        graph_discontinuous=ps.erdos_renyi_graph(30, 0.2, seed=0),
+        c=1208.74, cd=4.536, dt=1e-3, t_end=1.0, init_seed=0,
+        store_trajectory=store_trajectory,
+    )
+    run = ps.simulate(cfg)
+    assert run.diverged and run.times.shape[0] - 1 == 264
+    assert ps.error_metrics(run.final_states)[0] == pytest.approx(run.e_tot_series[-1], rel=1e-12)
+    assert not np.array_equal(run.final_states, cfg.initial())
+
+
 def test_smoothed_sign_mode_runs_clean(relay):
     g = ps.ring_graph(4)
     cfg = ps.SimConfig(

@@ -45,6 +45,11 @@ def test_report_on_actual_ring30_layer(relay, relay_cert):
     assert not report.delta_certified
     assert report.hypotheses.certificate_verified is True
     assert report.hypotheses.all_ok()
+    # one vertex above the cap: the same heuristic report
+    assert report == ps.compute_thresholds(
+        relay_cert, np.eye(3), np.eye(3), g_diff, g_disc, field=relay, heuristic_seed=7,
+        exact_cap=29,
+    )
 
 
 def test_zero_jump_budget_zeroes_discontinuous_gain():
@@ -62,9 +67,8 @@ def test_nonpositive_mu2_q_allows_any_positive_gain():
 
 
 def test_report_recomputes_bit_for_bit(relay_cert):
-    report = ps.compute_thresholds(
-        relay_cert, np.eye(3), np.eye(3), ps.ring_graph(8), ps.erdos_renyi_graph(8, 0.4, seed=1)
-    )
+    g_diff, g_disc = ps.ring_graph(8), ps.erdos_renyi_graph(8, 0.4, seed=1)
+    report = ps.compute_thresholds(relay_cert, np.eye(3), np.eye(3), g_diff, g_disc)
     c_star, cd_star = ps.critical_gains(
         report.mu2_q,
         report.lambda2,
@@ -77,6 +81,10 @@ def test_report_recomputes_bit_for_bit(relay_cert):
     assert report.cd_star == cd_star
     assert report.delta_method == "exact"
     assert report.delta_certified
+    # a graph exactly at the cap is still enumerated exactly
+    assert report == ps.compute_thresholds(
+        relay_cert, np.eye(3), np.eye(3), g_diff, g_disc, exact_cap=8
+    )
 
 
 def test_adding_discontinuous_edges_never_raises_cd_star(relay_cert):
