@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import pwsync as ps
 from conftest import random_connected_graph
+from pwsync import min_density
 
 TABLE_CASES = [("complete", None), ("star", None), ("path", None), ("ring", None),
                ("nearest_neighbours", 1), ("nearest_neighbours", 2)]
@@ -41,9 +45,10 @@ def test_delta_recomputable_from_cut():
 
 
 def test_tie_break_complete_graph_prefers_smallest_side():
-    # Every cut of a complete graph has the same density.
-    cut = ps.min_density_exact(ps.complete_graph(6)).sparsest_cut
-    assert cut.n1 == 1 and cut.side1() == [0]
+    # Every cut of a complete graph has the same density; K20 has 524 287.
+    for n in (6, 20):
+        cut = ps.min_density_exact(ps.complete_graph(n)).sparsest_cut
+        assert cut.n1 == 1 and cut.side1() == [0]
 
 
 def test_tie_break_ring4_lexicographic():
@@ -51,6 +56,15 @@ def test_tie_break_ring4_lexicographic():
     # side_assignment tuple because False < True at vertex 1.
     cut = ps.min_density_exact(ps.ring_graph(4)).sparsest_cut
     assert cut.side_assignment == (True, False, False, True)
+
+
+def test_tie_break_smaller_side_before_lexicographic():
+    # K_{2,3} on {0,1} | {2,3,4} plus edge (3,4): {0,2} | {1,3,4} and
+    # {0,3,4} | {1,2} both cut 3 edges at density 3/6; the second has the
+    # smaller side_assignment tuple but the larger N1.
+    g = ps.Graph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4)))
+    cut = ps.min_density_exact(g).sparsest_cut
+    assert cut.side_assignment == (True, False, True, False, False)
 
 
 def test_disconnected_graph_is_an_error():
@@ -66,6 +80,85 @@ def test_exact_cap_is_enforced():
     assert ps.min_density_exact(ps.ring_graph(23), max_vertices=23).delta == pytest.approx(
         4 * 23 / (23**2 - 1), abs=1e-12
     )
+
+
+def brute_force_cut(g: ps.Graph) -> ps.Cut:
+    """Canonical sparsest cut by itertools: least (density, n1, side tuple), vertex 0 in V1."""
+    n = g.n_vertices
+    best_key, best = None, None
+    for rest in itertools.product((False, True), repeat=n - 1):
+        side = (True,) + rest
+        n1 = sum(side)
+        if n1 == n:
+            continue
+        b = sum(side[u] != side[v] for u, v in g.edges)
+        key = (Fraction(b, n1 * (n - n1)), n1, side)
+        if best_key is None or key < best_key:
+            best_key, best = key, ps.Cut(side, n1, n - n1, b)
+    return best
+
+
+def oracle_corpus():
+    """Tie-heavy families and ER graphs, N = 2..12."""
+    for n in range(2, 13):
+        yield f"K{n}", ps.complete_graph(n)
+        a = n // 2
+        yield f"K{a},{n - a}", ps.Graph(n, [(i, j) for i in range(a) for j in range(a, n)])
+        yield f"star{n}-centre-last", ps.Graph(n, [(i, n - 1) for i in range(n - 1)])
+        if n >= 3:
+            yield f"ring{n}", ps.ring_graph(n)
+        for l in (2, 3):
+            if l <= (n - 1) // 2:
+                yield f"C{n}({l})", ps.nearest_neighbours_graph(n, l)
+        if n >= 4:
+            for seed in range(2):
+                yield f"ER({n},0.4,{seed})", ps.erdos_renyi_graph(n, 0.4, seed=seed)
+
+
+def assert_matches_brute_force(g: ps.Graph) -> None:
+    result = ps.min_density_exact(g)
+    cut = brute_force_cut(g)
+    n = g.n_vertices
+    assert result.sparsest_cut == cut
+    assert result.delta.hex() == ((n / 2.0) * cut.crossing_edges / (cut.n1 * cut.n2)).hex()
+    assert result.method == "exact"
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 4], ids=["default-chunk", "chunk16"])
+def test_exact_matches_brute_force_cut(chunk, monkeypatch):
+    # A 16-entry chunk splits every N >= 6 enumeration, so ties across chunks
+    # go through the final tie-break.
+    if chunk is not None:
+        monkeypatch.setattr(min_density, "_CHUNK", chunk)
+    for name, g in oracle_corpus():
+        try:
+            assert_matches_brute_force(g)
+        except AssertionError as exc:
+            raise AssertionError(f"{name}: {exc}") from exc
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 4], ids=["default-chunk", "chunk16"])
+def test_exact_matches_brute_force_on_random_graphs(chunk, monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    if chunk is not None:
+        monkeypatch.setattr(min_density, "_CHUNK", chunk)
+
+    @st.composite
+    def connected_graphs(draw):
+        # A random spanning tree keeps the graph connected; extra edges add cycles.
+        n = draw(st.integers(2, 10))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = list(itertools.combinations(range(n), 2))
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+        return ps.Graph(n, sorted(edges))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(connected_graphs())
+    def check(g):
+        assert_matches_brute_force(g)
+
+    check()
 
 
 # ----------------------------------------------------------------------------
