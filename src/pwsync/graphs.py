@@ -2,13 +2,14 @@
 
 Graphs are always simple (no self-loops, no parallel edges) and vertices are
 0-indexed. Edges are kept sorted lexicographically so that derived objects
-(incidence matrix columns, generated files) are deterministic.
+(endpoint arrays, incidence matrix columns, generated files) are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,19 +65,25 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        uv = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
+        uv.setflags(write=False)
+        return uv[0], uv[1]
+
+    def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint arrays (u_k, v_k) over the sorted edge list, built once."""
+        return self._endpoints
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(np.concatenate(self.edge_array()), minlength=self.n_vertices)
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (int64)."""
+        u, v = self.edge_array()
         a = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
+        a[u, v] = 1
+        a[v, u] = 1
         return a
 
     def neighbour_lists(self) -> list[list[int]]:
@@ -85,17 +92,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in set(self.edges)
-
-    def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (u_k, v_k) over the sorted edge list."""
-        if not self.edges:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        arr = np.asarray(self.edges, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -114,10 +110,11 @@ def incidence(g: Graph) -> np.ndarray:
     smaller endpoint and -1 at the larger one (fixed convention; any consistent
     sign choice yields the same B @ B.T).
     """
+    u, v = g.edge_array()
+    k = np.arange(g.n_edges)
     b = np.zeros((g.n_vertices, g.n_edges), dtype=np.int64)
-    for k, (u, v) in enumerate(g.edges):
-        b[u, k] = 1
-        b[v, k] = -1
+    b[u, k] = 1
+    b[v, k] = -1
     return b
 
 
@@ -209,10 +206,10 @@ def erdos_renyi_graph(n: int, p: float, seed: int | None = None, max_retries: in
     if not (0.0 < p < 1.0):
         raise ValueError(f"edge probability must satisfy 0 < p < 1, got {p}")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    iu, iv = np.triu_indices(n, 1)
     for _ in range(max_retries):
-        mask = rng.random(len(pairs)) < p
-        g = Graph(n, tuple(e for e, keep in zip(pairs, mask) if keep))
+        keep = rng.random(iu.size) < p
+        g = Graph(n, tuple(zip(iu[keep].tolist(), iv[keep].tolist())))
         if is_connected(g):
             return g
     raise RuntimeError(

@@ -98,9 +98,8 @@ def _cut_sort_key(cut: Cut) -> tuple[Fraction, int, tuple[bool, ...]]:
     )
 
 
-def _result_from_cut(g: Graph, cut: Cut, method: str) -> MinDensityResult:
-    delta = (g.n_vertices / 2.0) * cut.crossing_edges / (cut.n1 * cut.n2)
-    return MinDensityResult(delta, cut, method)
+def _result_from_cut(cut: Cut, method: str) -> MinDensityResult:
+    return MinDensityResult(cut.density_times_half_n(), cut, method)
 
 
 # ----------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
         if best_key is None or key < best_key:
             best, best_key = cut, key
     assert best is not None
-    return _result_from_cut(g, best, "exact")
+    return _result_from_cut(best, "exact")
 
 
 def _bit_rows(n_bits: int) -> np.ndarray:
@@ -319,7 +318,7 @@ def min_density_heuristic(g: Graph, seed: int | None = None, *, restarts: int = 
             if best_key is None or key < best_key:
                 best, best_key = cut, key
     assert best is not None
-    return _result_from_cut(g, best, "heuristic")
+    return _result_from_cut(best, "heuristic")
 
 
 def _uniform_side(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

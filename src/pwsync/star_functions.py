@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, incidence, is_connected
+from .graphs import Graph, is_connected
 from .min_density import Cut
 
 __all__ = [
@@ -92,8 +92,8 @@ def phi(params: StarFunctionParams, e) -> float:
         raise ValueError(f"vector must have length {g.n_vertices}, got {e.shape}")
     if abs(float(e.sum())) > ZERO_SUM_TOLERANCE:
         raise ValueError(f"vector components must sum to zero, got sum {e.sum():.3e}")
-    b = incidence(g).astype(np.float64)
-    return float(params.a1 * np.abs(e).sum() - params.a2 * np.abs(b.T @ e).sum())
+    eu, ev = g.edge_array()
+    return float(params.a1 * np.abs(e).sum() - params.a2 * np.abs(e[eu] - e[ev]).sum())
 
 
 def bipartition_generator(b: Bipartition) -> np.ndarray:
@@ -186,8 +186,9 @@ def check_global_seminegativity(
     rng = np.random.default_rng(seed)
     e = rng.normal(size=(n_samples, g.n_vertices))
     e -= e.mean(axis=1, keepdims=True)
-    b = incidence(g).astype(np.float64)
-    values = params.a1 * np.abs(e).sum(axis=1) - params.a2 * np.abs(e @ b).sum(axis=1)
+    eu, ev = g.edge_array()
+    edge_l1 = np.abs(e[:, eu] - e[:, ev]).sum(axis=1)
+    values = params.a1 * np.abs(e).sum(axis=1) - params.a2 * edge_l1
     worst = float(values.max())
     if worst <= SEMINEGATIVITY_TOLERANCE:
         return SeminegativityCheck(True, n_samples, worst)

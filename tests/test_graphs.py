@@ -103,6 +103,48 @@ def test_incidence_times_transpose_equals_laplacian_exactly(g):
     assert np.array_equal(b @ b.T, ps.laplacian(g))
 
 
+def test_edge_array_is_built_once_and_read_only():
+    g = ps.erdos_renyi_graph(10, 0.4, seed=3)
+    u, v = g.edge_array()
+    again = g.edge_array()
+    assert again[0] is u and again[1] is v
+    assert u.dtype == np.int64 and v.dtype == np.int64
+    assert list(zip(u.tolist(), v.tolist())) == list(g.edges)
+    for arr in (u, v):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # The cached arrays are not part of a graph's value.
+    twin = ps.Graph(10, g.edges)
+    assert twin == g and hash(twin) == hash(g)
+
+
+def test_edge_array_of_edgeless_graph():
+    u, v = ps.Graph(3).edge_array()
+    assert u.shape == v.shape == (0,)
+    assert np.array_equal(ps.Graph(3).degrees(), [0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ps.Graph(3),
+        ps.star_graph(7),
+        ps.nearest_neighbours_graph(9, 2),
+        ps.erdos_renyi_graph(10, 0.4, seed=3),
+    ],
+)
+def test_degrees_and_adjacency_match_edge_loops(g):
+    deg = np.zeros(g.n_vertices, dtype=np.int64)
+    adj = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+        adj[u, v] = adj[v, u] = 1
+    assert np.array_equal(g.degrees(), deg)
+    assert np.array_equal(g.adjacency(), adj)
+    assert g.degrees().dtype == g.adjacency().dtype == np.int64
+
+
 # ----------------------------------------------------------------------------
 # Connectivity and algebraic connectivity
 # ----------------------------------------------------------------------------
@@ -201,6 +243,38 @@ def test_erdos_renyi_is_seeded_and_connected():
     assert g1.edges == g2.edges
     assert g1.edges != g3.edges
     assert ps.is_connected(g1)
+
+
+def _pair_list_erdos_renyi(n, p, seed, max_retries):
+    """Reference draw over a Python list of vertex pairs; also returns the retry count."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for attempt in range(max_retries):
+        mask = rng.random(len(pairs)) < p
+        g = ps.Graph(n, tuple(e for e, keep in zip(pairs, mask) if keep))
+        if ps.is_connected(g):
+            return g, attempt
+    return None, max_retries
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(8, 0.3, 0), (12, 0.15, 1), (12, 0.3, 5), (30, 0.2, 7), (60, 0.05, 2)],
+)
+def test_erdos_renyi_matches_pair_list_draw(n, p, seed):
+    expected, _ = _pair_list_erdos_renyi(n, p, seed, 1000)
+    assert ps.erdos_renyi_graph(n, p, seed=seed).edges == expected.edges
+
+
+def test_erdos_renyi_pair_list_draw_with_retries():
+    # seed 1 needs three rejected draws before a connected one.
+    expected, retries = _pair_list_erdos_renyi(12, 0.15, 1, 1000)
+    assert retries == 3
+    assert ps.erdos_renyi_graph(12, 0.15, seed=1).edges == expected.edges
+    # A budget one short of that raises, as the reference runs dry.
+    assert _pair_list_erdos_renyi(12, 0.15, 1, 3)[0] is None
+    with pytest.raises(RuntimeError, match="retries"):
+        ps.erdos_renyi_graph(12, 0.15, seed=1, max_retries=3)
 
 
 def test_erdos_renyi_rejects_bad_probability():

@@ -64,6 +64,66 @@ def test_zero_gains_zero_coupling():
     assert np.max(np.abs(ps.coupling(states, cfg))) == 0.0
 
 
+# The graph family of test_incidence_times_transpose_equals_laplacian_exactly,
+# plus one larger sparse layer.
+COUPLING_GRAPHS = [
+    ps.complete_graph(6),
+    ps.star_graph(7),
+    ps.path_graph(5),
+    ps.ring_graph(8),
+    ps.nearest_neighbours_graph(9, 2),
+    ps.erdos_renyi_graph(10, 0.4, seed=3),
+    ps.erdos_renyi_graph(200, 0.05, seed=1),
+]
+
+
+def _layer_pairs():
+    for g in COUPLING_GRAPHS:
+        edgeless = ps.Graph(g.n_vertices)
+        yield g, g
+        yield g, edgeless
+        yield edgeless, g
+
+
+def _dense_coupling(states, cfg):
+    """-(B B^T X) c Gamma^T - (B_d s(B_d^T X)) cd Gamma_d^T from dense incidence matrices."""
+    b = ps.incidence(cfg.graph_diffusive).astype(np.float64)
+    b_d = ps.incidence(cfg.graph_discontinuous).astype(np.float64)
+    y_d = b_d.T @ states
+    s = np.tanh(y_d / cfg.smooth_epsilon) if cfg.sign_mode == "smoothed" else np.sign(y_d)
+    return -(b @ (b.T @ states)) @ (cfg.c * cfg.gamma.T) - (b_d @ s) @ (cfg.cd * cfg.gamma_d.T)
+
+
+def _max_degree(g):
+    return int(g.degrees().max())
+
+
+@pytest.mark.parametrize("sign_mode", ["exact", "smoothed"])
+@pytest.mark.parametrize("g_diff, g_disc", list(_layer_pairs()))
+def test_coupling_matches_dense_incidence_reference(g_diff, g_disc, sign_mode):
+    rng = np.random.default_rng(g_diff.n_vertices + 3 * g_disc.n_edges)
+    n = 3
+    cfg = ps.SimConfig(
+        node_field=free_particle(n), graph_diffusive=g_diff, graph_discontinuous=g_disc,
+        c=37.5, cd=2.25, gamma=rng.normal(size=(n, n)), gamma_d=rng.normal(size=(n, n)),
+        dt=1e-3, t_end=1.0, sign_mode=sign_mode, smooth_epsilon=0.3,
+    )
+    states = rng.normal(scale=5.0, size=(g_diff.n_vertices, n))
+    u = ps.coupling(states, cfg)
+    ref = _dense_coupling(states, cfg)
+    # Per-node sums of at most two terms, or of small integers (exact sign),
+    # cannot depend on the summation order; otherwise the last bit may move.
+    order_free = _max_degree(g_diff) <= 2 and (
+        sign_mode == "exact" or _max_degree(g_disc) <= 2
+    )
+    if order_free:
+        assert np.array_equal(u, ref)
+    else:
+        np.testing.assert_allclose(u, ref, rtol=1e-12, atol=0)
+    synced = np.tile(states[0], (g_diff.n_vertices, 1))
+    assert np.all(ps.coupling(synced, cfg) == 0.0)
+
+
 # ----------------------------------------------------------------------------
 # Error metrics
 # ----------------------------------------------------------------------------

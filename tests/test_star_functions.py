@@ -231,3 +231,40 @@ def test_tripartition_shaped_vectors_stay_nonpositive_at_critical_ratio():
             e[i1] = eps1
             e[i2] = -sizes[0] * eps1 / sizes[1]
             assert ps.phi(p, e) <= 1e-10
+
+
+# ----------------------------------------------------------------------------
+# Edge-list evaluation against the dense incidence matrix
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ps.Graph(2, ((0, 1),)),
+        ps.complete_graph(6),
+        ps.star_graph(7),
+        ps.ring_graph(8),
+        ps.erdos_renyi_graph(10, 0.4, seed=3),
+    ],
+)
+def test_phi_and_sampling_agree_with_incidence_reference(g):
+    b = ps.incidence(g).astype(np.float64)
+    rng = np.random.default_rng(g.n_edges)
+    for a1, a2 in [(1.0, 0.0), (1.0, 0.1), (0.7, 2.5)]:
+        p = params(a1, a2, g)
+        for _ in range(20):
+            e = rng.normal(size=g.n_vertices)
+            e -= e.mean()
+            ref = a1 * np.abs(e).sum() - a2 * np.abs(b.T @ e).sum()
+            assert ps.phi(p, e) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+        check = ps.check_global_seminegativity(p, n_samples=500, seed=4)
+        samples = np.random.default_rng(4).normal(size=(500, g.n_vertices))
+        samples -= samples.mean(axis=1, keepdims=True)
+        values = a1 * np.abs(samples).sum(axis=1) - a2 * np.abs(samples @ b).sum(axis=1)
+        assert check.max_phi == pytest.approx(values.max(), rel=1e-12, abs=1e-12)
+        assert check.passed == (values.max() <= 1e-10)
+        if not check.passed:
+            first = int(np.argmax(values > 1e-10))
+            assert np.array_equal(check.violation, samples[first])
