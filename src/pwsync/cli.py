@@ -379,7 +379,9 @@ def _cmd_simulate(args) -> int:
             json.dumps(threshold_report_json(report), indent=2, sort_keys=True) + "\n",
             encoding="ascii",
         )
-    status = "diverged (truncated)" if run.diverged else "completed"
+    status = (
+        f"diverged (truncated) at step {run.divergence_step}" if run.diverged else "completed"
+    )
     print(
         f"{status}: c={_fmt(c)} cd={_fmt(cd)} e_tot {_fmt(run.e_tot_series[0])} -> "
         f"{_fmt(run.e_tot_series[-1])}; wrote {csv_path}"

@@ -15,6 +15,12 @@ smooth steppers, and a fixed step is the standard desk-scale surrogate for
 set-valued solutions, reaching sliding sets up to a chattering band of width
 O(c_d * dt). sign(0) = 0 everywhere; an optional smoothed mode replaces the
 coupling sign with tanh(y / epsilon) for chattering-free visuals.
+
+The loop advances the state one step at a time into a buffer that holds a
+block of steps. The bookkeeping runs once per block, vectorised over its
+steps: e_tot, the divergence check and the decimated trajectory frames. A
+run is truncated at the first step whose e_tot is not finite; steps that
+the block computed past it are discarded.
 """
 
 from __future__ import annotations
@@ -71,16 +77,22 @@ class SimConfig:
         )
         if self.gamma.shape != (n, n) or self.gamma_d.shape != (n, n):
             raise ValueError(f"inner coupling matrices must be {n}x{n}")
+        if not np.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end!r}")
         if not (0 < self.dt < self.t_end):
             raise ValueError("need 0 < dt < t_end")
         if self.sign_mode not in ("exact", "smoothed"):
             raise ValueError(f"sign_mode must be 'exact' or 'smoothed', got {self.sign_mode!r}")
+        if not self.smooth_epsilon > 0:
+            raise ValueError(f"smooth_epsilon must be > 0, got {self.smooth_epsilon!r}")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
         if self.initial_states is not None:
             x0 = np.asarray(self.initial_states, dtype=np.float64)
             if x0.shape != (self.n_nodes, n):
                 raise ValueError(f"initial states must be {self.n_nodes}x{n}, got {x0.shape}")
+            if not np.all(np.isfinite(x0)):
+                raise ValueError("initial_states must be finite")
             self.initial_states = x0
 
     @property
@@ -106,6 +118,7 @@ class SimulationRun:
     trajectory_times: np.ndarray | None = None
     trajectory: np.ndarray | None = None  # (frames, N, n)
     diverged: bool = False
+    divergence_step: int | None = None  # first step with a non-finite e_tot
     config_summary: dict = field(default_factory=dict)
 
 
@@ -158,65 +171,85 @@ def error_metrics(states: np.ndarray) -> tuple[float, np.ndarray]:
     return float(per_node.mean()), per_node
 
 
+# Steps per block of the Euler loop: about 256 KB of stacked states, at most 256 steps.
+_BLOCK_BYTES = 1 << 18
+_MAX_BLOCK_STEPS = 256
+
+
 def simulate(config: SimConfig) -> SimulationRun:
     """Explicit-Euler run; e_tot is recorded at every step.
 
-    Deterministic for a fixed config (including seed). If the state stops
-    being finite the run is truncated at the last finite step and flagged;
-    final_states is then the state at that step.
+    Deterministic for a fixed config (including seed). The run is truncated
+    at the first step whose e_tot is not finite (a non-finite state entry
+    makes its whole column of deviations non-finite, so this also catches
+    a non-finite state) and flagged; final_states is then the state at the
+    step before.
     """
-    x = config.initial()
+    x0 = config.initial()
     n_steps = int(round(config.t_end / config.dt))
     field_ = config.node_field
+    dt = config.dt
+    decimation = config.decimation
 
     u = _coupling_operator(config)
     a_t = field_.a.T.copy()
     d_vec = field_.d
     switch = [(term.gain, term.coordinate) for term in field_.switch_terms]
 
-    times = np.arange(n_steps + 1) * config.dt
+    times = np.arange(n_steps + 1) * dt
     e_tot = np.empty(n_steps + 1)
-    e_tot[0], _ = error_metrics(x)
+    e_tot[0], _ = error_metrics(x0)
 
-    frames = []
-    frame_idx = []
-    if config.store_trajectory:
-        frames.append(x.copy())
-        frame_idx.append(0)
+    # Row 0 holds the state entering the block; rows 1..m the block's steps.
+    block = max(1, min(_MAX_BLOCK_STEPS, _BLOCK_BYTES // x0.nbytes, n_steps))
+    buf = np.empty((block + 1,) + x0.shape)
+    buf[0] = x0
+    frames, frame_steps = [x0[None]], [np.zeros(1, dtype=np.int64)]
 
-    diverged = False
-    last = n_steps
+    divergence_step = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            drift = x @ a_t + d_vec
-            for gain, coord in switch:
-                drift -= np.sign(x[:, coord])[:, None] * gain
-            x_next = x + config.dt * (drift + u(x))
-            dev = x_next - x_next.mean(axis=0)
-            e_tot[k] = np.sqrt((dev * dev).sum(axis=1)).mean()
-            if not (np.all(np.isfinite(x_next)) and np.isfinite(e_tot[k])):
-                diverged = True
-                last = k - 1
+        for start in range(1, n_steps + 1, block):
+            stop = min(start + block, n_steps + 1)
+            states = buf[1 : stop - start + 1]
+            x = buf[0]
+            for x_next in states:
+                drift = x @ a_t + d_vec
+                for gain, coord in switch:
+                    drift -= np.sign(x[:, coord])[:, None] * gain
+                np.add(x, dt * (drift + u(x)), out=x_next)
+                x = x_next
+            dev = states - states.mean(axis=1, keepdims=True)
+            dev *= dev
+            e_blk = e_tot[start:stop]
+            np.sqrt(dev.sum(axis=2)).mean(axis=1, out=e_blk)
+            bad = np.flatnonzero(~np.isfinite(e_blk))
+            if bad.size:  # keep only the steps before the first non-finite e_tot
+                divergence_step = start + int(bad[0])
+                stop = divergence_step
+            if config.store_trajectory:
+                ks = np.arange(start, stop)
+                ks = ks[(ks % decimation == 0) | (ks == n_steps)]
+                frames.append(buf[ks - start + 1])
+                frame_steps.append(ks)
+            buf[0] = buf[stop - start]
+            if divergence_step is not None:
                 break
-            x = x_next
-            if config.store_trajectory and (k % config.decimation == 0 or k == n_steps):
-                frames.append(x.copy())
-                frame_idx.append(k)
 
-    if diverged:
-        times = times[: last + 1]
-        e_tot = e_tot[: last + 1]
+    if divergence_step is not None:
+        times = times[:divergence_step]
+        e_tot = e_tot[:divergence_step]
 
     run = SimulationRun(
         times=times,
         e_tot_series=e_tot,
-        final_states=x,
-        diverged=diverged,
+        final_states=buf[0].copy(),
+        diverged=divergence_step is not None,
+        divergence_step=divergence_step,
         config_summary=_config_summary(config),
     )
     if config.store_trajectory:
-        run.trajectory_times = np.asarray(frame_idx, dtype=np.float64) * config.dt
-        run.trajectory = np.stack(frames)
+        run.trajectory_times = np.concatenate(frame_steps).astype(np.float64) * dt
+        run.trajectory = np.concatenate(frames)
     return run
 
 
@@ -276,6 +309,8 @@ def write_run_metadata(run: SimulationRun, path) -> None:
     """Sidecar document describing the run (gains, seeds, step, graph hashes)."""
     meta = dict(run.config_summary)
     meta["diverged"] = run.diverged
+    if run.diverged:
+        meta["divergence_step"] = run.divergence_step
     meta["e_tot_initial"] = float(run.e_tot_series[0])
     meta["e_tot_final"] = float(run.e_tot_series[-1])
     meta["n_steps_recorded"] = int(run.times.shape[0] - 1)

@@ -215,6 +215,24 @@ def test_simulate_auto_gains_write_threshold_sidecar(tmp_path, capsys):
     assert meta["cd"] == pytest.approx(1.05 * report["cd_star"], rel=1e-12)
 
 
+def test_simulate_names_divergence_step(tmp_path, capsys):
+    # dt * c * lambda_max(ring-8) = 1e-3 * 1e5 * 4 = 400: explicit Euler diverges
+    cfg = write_config(tmp_path / "cfg.json", gains={"c": 1e5, "cd": 0.0})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["diverged"] is True
+    step = meta["divergence_step"]
+    assert step == meta["n_steps_recorded"] + 1
+    assert f"diverged (truncated) at step {step}:" in capsys.readouterr().out
+
+
+def test_simulate_refuses_infinite_t_end(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", sim={"dt": 1e-3, "t_end": float("inf"), "seed": 1})
+    assert "Infinity" in cfg.read_text()
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "t_end must be finite" in capsys.readouterr().err
+
+
 def test_simulate_gain_override_needs_both_flags(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["simulate", "--config", str(cfg), "--c", "10.0"]) == 2

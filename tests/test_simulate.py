@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import functools
+import importlib
+import json
+
 import numpy as np
 import pytest
 
 import pwsync as ps
+from pwsync.cli import AUTO_GAIN_FACTOR
+
+sim_module = importlib.import_module("pwsync.simulate")
 
 
 def free_particle(n: int = 1) -> ps.PwsVectorField:
@@ -209,7 +216,7 @@ def test_identical_config_reproduces_run_exactly(relay):
     assert np.array_equal(run1.final_states, run2.final_states)
 
 
-def test_divergence_is_truncated_and_flagged():
+def test_divergence_is_truncated_and_flagged(tmp_path):
     g = ps.ring_graph(4)
     cfg = ps.SimConfig(
         node_field=free_particle(1), graph_diffusive=g, graph_discontinuous=g,
@@ -220,6 +227,12 @@ def test_divergence_is_truncated_and_flagged():
     assert np.all(np.isfinite(run.e_tot_series))
     assert run.times.shape == run.e_tot_series.shape
     assert run.times[-1] < 50.0
+    assert run.divergence_step == run.times.shape[0]
+    path = tmp_path / "meta.json"
+    ps.write_run_metadata(run, path)
+    meta = json.loads(path.read_text())
+    assert meta["diverged"] is True
+    assert meta["divergence_step"] == run.divergence_step
 
 
 @pytest.mark.parametrize("store_trajectory", [False, True])
@@ -269,6 +282,161 @@ def test_above_threshold_gains_synchronize_relay_network(relay, relay_cert):
 
 
 # ----------------------------------------------------------------------------
+# Block-deferred Euler loop against the per-step loop
+# ----------------------------------------------------------------------------
+
+
+def _per_step_reference(config: ps.SimConfig) -> ps.SimulationRun:
+    """The Euler loop with e_tot and a finiteness check after every step."""
+    x = config.initial()
+    n_steps = int(round(config.t_end / config.dt))
+    field_ = config.node_field
+    u = sim_module._coupling_operator(config)
+    a_t = field_.a.T.copy()
+    switch = [(term.gain, term.coordinate) for term in field_.switch_terms]
+    times = np.arange(n_steps + 1) * config.dt
+    e_tot = np.empty(n_steps + 1)
+    e_tot[0], _ = ps.error_metrics(x)
+    frames, frame_idx = [x.copy()], [0]
+    diverged = False
+    last = n_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            drift = x @ a_t + field_.d
+            for gain, coord in switch:
+                drift -= np.sign(x[:, coord])[:, None] * gain
+            x_next = x + config.dt * (drift + u(x))
+            dev = x_next - x_next.mean(axis=0)
+            e_tot[k] = np.sqrt((dev * dev).sum(axis=1)).mean()
+            if not (np.all(np.isfinite(x_next)) and np.isfinite(e_tot[k])):
+                diverged = True
+                last = k - 1
+                break
+            x = x_next
+            if k % config.decimation == 0 or k == n_steps:
+                frames.append(x.copy())
+                frame_idx.append(k)
+    run = ps.SimulationRun(
+        times=times[: last + 1], e_tot_series=e_tot[: last + 1], final_states=x, diverged=diverged
+    )
+    if config.store_trajectory:
+        run.trajectory_times = np.asarray(frame_idx, dtype=np.float64) * config.dt
+        run.trajectory = np.stack(frames)
+    return run
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_demo_gains(seed: int):
+    g_diff = ps.generate_topology("ring", 30)
+    g_disc = ps.generate_topology("erdos_renyi", 30, p=0.2, seed=seed)
+    report = ps.compute_thresholds(
+        ps.relay_certificate(), np.eye(3), np.eye(3), g_diff, g_disc,
+        field=ps.relay_feedback_system(), heuristic_seed=seed,
+    )
+    return g_diff, g_disc, AUTO_GAIN_FACTOR * report.c_star, AUTO_GAIN_FACTOR * report.cd_star
+
+
+def _paper_demo_config(name: str) -> ps.SimConfig:
+    """One run of `pwsync paper-demo --seed 7`, shortened to 3000 steps."""
+    g_diff, g_disc, c_above, cd_above = _paper_demo_gains(7)
+    c, cd = (0.1, 0.001) if name == "below" else (c_above, cd_above)
+    return ps.SimConfig(
+        node_field=ps.relay_feedback_system(), graph_diffusive=g_diff, graph_discontinuous=g_disc,
+        c=c, cd=cd, gamma=np.eye(3), gamma_d=np.eye(3), dt=1e-4, t_end=0.3, init_seed=7,
+    )
+
+
+def _relay_config(**kwargs) -> ps.SimConfig:
+    g = kwargs.pop("g", ps.erdos_renyi_graph(6, 0.5, seed=2))
+    defaults = dict(
+        node_field=ps.relay_feedback_system(), graph_diffusive=g, graph_discontinuous=g,
+        c=2.0, cd=0.5, dt=1e-3, t_end=0.3, init_seed=4,
+    )
+    defaults.update(kwargs)
+    return ps.SimConfig(**defaults)
+
+
+def _divergence_config(step: int, store_trajectory: bool) -> ps.SimConfig:
+    """Two free particles whose difference D triples in size every step.
+
+    dt * c = 2 exactly, so D -> -3 D; e_tot = |D| / 2 and its square first
+    overflows at `step`, half a factor of 3 from the boundary either side.
+    """
+    dt = 2.0**-10
+    d0 = 2.0 * np.sqrt(np.finfo(np.float64).max) / 3.0 ** (step - 0.5)
+    return two_node_config(
+        c=2048.0, cd=0.0, dt=dt, t_end=(step + 10) * dt, decimation=3,
+        initial_states=np.array([[d0 / 2], [-d0 / 2]]), store_trajectory=store_trajectory,
+    )
+
+
+def _offset_two_switch_field() -> ps.PwsVectorField:
+    return ps.PwsVectorField(
+        a=np.array([[0.4, -1.0], [1.0, 0.1]]),
+        d=np.array([0.3, -0.2]),
+        switch_terms=(
+            ps.SwitchTerm(gain=np.array([1.0, -0.5]), coordinate=0),
+            ps.SwitchTerm(gain=np.array([0.2, 0.7]), coordinate=1),
+        ),
+    )
+
+
+_RNG_GAMMAS = np.random.default_rng(5).normal(size=(2, 3, 3))
+
+BLOCK_CASES = {
+    "paper_demo_below": lambda: _paper_demo_config("below"),
+    "paper_demo_above": lambda: _paper_demo_config("above"),
+    "fewer_steps_than_block": lambda: _relay_config(t_end=0.05),
+    "decimation_not_dividing": lambda: _relay_config(decimation=7),
+    "smoothed": lambda: _relay_config(sign_mode="smoothed", smooth_epsilon=0.05),
+    "offset_two_switch_terms": lambda: _relay_config(
+        node_field=_offset_two_switch_field(), c=3.0, cd=1.5, decimation=4
+    ),
+    "non_identity_gammas": lambda: _relay_config(gamma=_RNG_GAMMAS[0], gamma_d=_RNG_GAMMAS[1]),
+    "edgeless_diffusive": lambda: _relay_config(graph_diffusive=ps.Graph(6)),
+    "edgeless_discontinuous": lambda: _relay_config(graph_discontinuous=ps.Graph(6)),
+    "er_1000": lambda: _relay_config(
+        g=ps.erdos_renyi_graph(1000, 0.008, seed=11), c=50.0, cd=5.0, dt=1e-4, t_end=157e-4
+    ),
+}
+
+
+def _assert_same_run(run: ps.SimulationRun, ref: ps.SimulationRun) -> None:
+    for name in ("times", "e_tot_series", "final_states", "trajectory", "trajectory_times"):
+        got, want = getattr(run, name), getattr(ref, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert np.array_equal(got, want), name
+    assert run.diverged == ref.diverged
+
+
+@pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "block_default"])
+def block_steps(request, monkeypatch):
+    """The Euler loop's largest block, forced down to 1 or 7 steps, or left as shipped."""
+    if request.param is not None:
+        monkeypatch.setattr(sim_module, "_MAX_BLOCK_STEPS", request.param)
+    return sim_module._MAX_BLOCK_STEPS
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_loop_matches_per_step_loop(case, block_steps):
+    cfg = BLOCK_CASES[case]()
+    _assert_same_run(ps.simulate(cfg), _per_step_reference(cfg))
+
+
+@pytest.mark.parametrize("store_trajectory", [False, True])
+@pytest.mark.parametrize("where", ["step_1", "first_of_block", "last_of_block"])
+def test_block_loop_truncates_divergence_like_per_step_loop(where, store_trajectory, block_steps):
+    step = {"step_1": 1, "first_of_block": block_steps + 1, "last_of_block": 2 * block_steps}[where]
+    cfg = _divergence_config(step, store_trajectory)
+    ref = _per_step_reference(cfg)
+    assert ref.diverged and ref.times.shape[0] == step  # the case diverges where it says
+    run = ps.simulate(cfg)
+    _assert_same_run(run, ref)
+    assert run.divergence_step == step
+
+
+# ----------------------------------------------------------------------------
 # Config validation
 # ----------------------------------------------------------------------------
 
@@ -290,6 +458,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match="1x1"):
         ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g,
                      c=1.0, cd=1.0, gamma=np.eye(2))
+    for eps, mode in ((0.0, "smoothed"), (-1e-3, "smoothed"), (float("nan"), "exact")):
+        with pytest.raises(ValueError, match="smooth_epsilon"):
+            ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g,
+                         c=1.0, cd=1.0, sign_mode=mode, smooth_epsilon=eps)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="initial_states"):
+            ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g,
+                         c=1.0, cd=1.0, initial_states=np.array([[0.0], [bad], [1.0], [2.0]]))
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g,
+                         c=1.0, cd=1.0, t_end=t_end)
 
 
 # ----------------------------------------------------------------------------
@@ -330,8 +510,6 @@ def test_csv_is_byte_identical_across_runs(tmp_path, relay):
 
 
 def test_metadata_sidecar(tmp_path, relay):
-    import json
-
     g = ps.ring_graph(4)
     cfg = ps.SimConfig(
         node_field=relay, graph_diffusive=g, graph_discontinuous=g,
@@ -344,6 +522,7 @@ def test_metadata_sidecar(tmp_path, relay):
     assert meta["c"] == 2.0 and meta["cd"] == 0.5 and meta["dt"] == 1e-3
     assert meta["init_seed"] == 3
     assert meta["diverged"] is False
+    assert run.divergence_step is None and "divergence_step" not in meta
     assert len(meta["graph_diffusive_sha256"]) == 64
     assert meta["graph_diffusive_sha256"] == meta["graph_discontinuous_sha256"]
     assert meta["e_tot_final"] == run.e_tot_series[-1]
