@@ -60,12 +60,10 @@ from .simulate import (
     write_run_metadata,
 )
 from .star_functions import (
-    Bipartition,
     SeminegativityCheck,
     StarFunctionParams,
     bipartition_generator,
     check_global_seminegativity,
-    crossing_edge_count,
     enumerate_bipartitions,
     min_a2_for_bipartition,
     phi,
@@ -122,11 +120,9 @@ __all__ = [
     "ScenarioResult",
     "resilience_report",
     "StarFunctionParams",
-    "Bipartition",
     "phi",
     "bipartition_generator",
     "min_a2_for_bipartition",
-    "crossing_edge_count",
     "enumerate_bipartitions",
     "SeminegativityCheck",
     "check_global_seminegativity",

@@ -45,6 +45,10 @@ EXACT_VERTEX_CAP = 22
 _CHUNK = 1 << 18
 
 
+def _crossing_count(side: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> int:
+    return int(np.count_nonzero(side[eu] != side[ev]))
+
+
 @dataclass(frozen=True)
 class Cut:
     """A bipartition of the vertex set; True marks side V1 (vertex 0 is in V1)."""
@@ -64,6 +68,24 @@ class Cut:
         n = self.n1 + self.n2
         return (n / 2.0) * self.crossing_edges / (self.n1 * self.n2)
 
+    @classmethod
+    def of(cls, g: Graph, side) -> "Cut":
+        """The cut of g whose side V1 is marked True by the length-N mask `side`.
+
+        The sides are swapped when needed so that vertex 0 lies in V1.
+        """
+        side = np.asarray(side, dtype=bool)
+        n = g.n_vertices
+        if side.shape != (n,):
+            raise ValueError(f"side mask must have length {n}, got shape {side.shape}")
+        n1 = int(np.count_nonzero(side))
+        if n1 in (0, n):
+            raise ValueError("both sides of a cut must be nonempty")
+        if not side[0]:
+            side, n1 = ~side, n - n1
+        eu, ev = g.edge_array()
+        return cls(tuple(side.tolist()), n1, n - n1, _crossing_count(side, eu, ev))
+
 
 @dataclass(frozen=True)
 class MinDensityResult:
@@ -77,16 +99,6 @@ def _require_connected(g: Graph) -> None:
     # downstream discontinuous gain infinite, so refuse instead.
     if not is_connected(g):
         raise ValueError("minimum density is only defined for connected graphs")
-
-
-def _canonical_cut(g: Graph, side: np.ndarray) -> Cut:
-    side = np.asarray(side, dtype=bool)
-    if not side[0]:
-        side = ~side
-    eu, ev = g.edge_array()
-    b = int(np.count_nonzero(side[eu] != side[ev]))
-    n1 = int(side.sum())
-    return Cut(tuple(bool(s) for s in side), n1, g.n_vertices - n1, b)
 
 
 def _cut_sort_key(cut: Cut) -> tuple[Fraction, int, tuple[bool, ...]]:
@@ -156,7 +168,7 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
     n_rows = s_hi.shape[0]
     rows = max(1, _CHUNK >> n_lo)
     best_density = np.inf
-    candidates: list[tuple[int, int, int]] = []  # (mask, b, n1): one per chunk at the minimum
+    candidates: list[int] = []  # one mask per chunk at the minimum
     for r0 in range(0, n_rows, rows):
         r1 = min(r0 + rows, n_rows)
         cross = b_hi[r0:r1, None] + b_lo[None, :] - s_hi_f[r0:r1] @ twice_j_lo
@@ -178,21 +190,11 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
         tied = tied[tied_n1 == tied_n1.min()]
         # Reversing the n-1 mask bits orders masks as their side tuples compare.
         i = int(tied[np.argmin(_bit_reversed(tied + (r0 << n_lo), n - 1))])
-        candidates.append(((r0 << n_lo) + i, int(cross.flat[i]), int(n1.flat[i])))
+        candidates.append((r0 << n_lo) + i)
 
-    best = None
-    best_key = None
-    for mask, b, n1 in candidates:
-        side = np.zeros(n, dtype=bool)
-        side[0] = True
-        for i in range(1, n):
-            side[i] = bool((mask >> (i - 1)) & 1)
-        cut = Cut(tuple(bool(s) for s in side), n1, n - n1, b)
-        key = _cut_sort_key(cut)
-        if best_key is None or key < best_key:
-            best, best_key = cut, key
-    assert best is not None
-    return _result_from_cut(best, "exact")
+    bits = np.arange(n - 1)
+    cuts = (Cut.of(g, np.append(True, (mask >> bits) & 1)) for mask in candidates)
+    return _result_from_cut(min(cuts, key=_cut_sort_key), "exact")
 
 
 def _bit_rows(n_bits: int) -> np.ndarray:
@@ -212,10 +214,6 @@ def _bit_reversed(masks: np.ndarray, n_bits: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-def _crossing_count(side: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> int:
-    return int(np.count_nonzero(side[eu] != side[ev]))
-
-
 def _swap_gain_matrix(adj: np.ndarray, side: np.ndarray, free1: np.ndarray, free2: np.ndarray) -> np.ndarray:
     """Crossing-count reduction for every (u in free1) x (v in free2) swap."""
     in1 = adj @ side  # neighbours on side V1, per vertex
@@ -225,7 +223,7 @@ def _swap_gain_matrix(adj: np.ndarray, side: np.ndarray, free1: np.ndarray, free
     return d[free1][:, None] + d[free2][None, :] - 2 * adj[np.ix_(free1, free2)]
 
 
-def _kl_refine(adj: np.ndarray, side: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, int]:
+def _kl_refine(adj: np.ndarray, side: np.ndarray) -> np.ndarray:
     """Kernighan-Lin passes at fixed side sizes until no pass improves.
 
     Each pass greedily swaps (and locks) the best remaining pair even through
@@ -233,7 +231,6 @@ def _kl_refine(adj: np.ndarray, side: np.ndarray, eu: np.ndarray, ev: np.ndarray
     search cross plateaus that defeat pure hill climbing.
     """
     side = side.copy()
-    b = _crossing_count(side, eu, ev)
     n = side.shape[0]
     while True:
         locked = np.zeros(n, dtype=bool)
@@ -262,12 +259,15 @@ def _kl_refine(adj: np.ndarray, side: np.ndarray, eu: np.ndarray, ev: np.ndarray
             break
         for u, v in moves[: best_prefix + 1]:
             side[u], side[v] = False, True
-        b -= gains[best_prefix]
-    return side, b
+    return side
 
 
 def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Connected side of size k grown from a random root (random frontier order)."""
+    """Connected side of size k grown from a random root (random frontier order).
+
+    g must be connected and k < N, so the frontier never empties before k
+    vertices are taken.
+    """
     adj = g.neighbour_lists()
     root = int(rng.integers(g.n_vertices))
     side = np.zeros(g.n_vertices, dtype=bool)
@@ -276,8 +276,6 @@ def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
     taken = 1
     while taken < k:
         frontier = [w for w in frontier if not side[w]]
-        if not frontier:  # connected graph: only once the side covers everything
-            break
         pick = frontier.pop(int(rng.integers(len(frontier))))
         side[pick] = True
         taken += 1
@@ -299,26 +297,17 @@ def min_density_heuristic(g: Graph, seed: int | None = None, *, restarts: int = 
         raise ValueError("minimum density needs at least two vertices")
     rng = np.random.default_rng(seed)
     adj = g.adjacency()
-    eu, ev = g.edge_array()
 
-    best: Cut | None = None
-    best_key = None
-    for k in range(1, n // 2 + 1):
-        for start in range(restarts):
-            if start < (restarts + 1) // 2:
-                side = _bfs_grown_side(g, k, rng)
-                # Pad or trim to exactly k in the rare short-grow case.
-                if int(side.sum()) != k:
+    def refined_cuts():
+        for k in range(1, n // 2 + 1):
+            for start in range(restarts):
+                if start < (restarts + 1) // 2:
+                    side = _bfs_grown_side(g, k, rng)
+                else:
                     side = _uniform_side(n, k, rng)
-            else:
-                side = _uniform_side(n, k, rng)
-            side, _ = _kl_refine(adj, side, eu, ev)
-            cut = _canonical_cut(g, side)
-            key = _cut_sort_key(cut)
-            if best_key is None or key < best_key:
-                best, best_key = cut, key
-    assert best is not None
-    return _result_from_cut(best, "heuristic")
+                yield Cut.of(g, _kl_refine(adj, side))
+
+    return _result_from_cut(min(refined_cuts(), key=_cut_sort_key), "heuristic")
 
 
 def _uniform_side(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

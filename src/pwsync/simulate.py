@@ -83,6 +83,9 @@ class SimConfig:
             raise ValueError("need 0 < dt < t_end")
         if self.sign_mode not in ("exact", "smoothed"):
             raise ValueError(f"sign_mode must be 'exact' or 'smoothed', got {self.sign_mode!r}")
+        if not np.isfinite(2.0 * self.init_amplitude):
+            # rng.uniform(-a, a) needs the range 2a to be a finite float.
+            raise ValueError(f"init_amplitude must be finite, as must twice it; got {self.init_amplitude!r}")
         if not self.smooth_epsilon > 0:
             raise ValueError(f"smooth_epsilon must be > 0, got {self.smooth_epsilon!r}")
         if self.decimation < 1:

@@ -13,8 +13,10 @@ N1, N2 and crossing-edge count b,
 
 Maximising that bound over bipartitions ties the star function to the minimum
 density: the critical ratio a2/a1 equals 1/delta. This module provides the
-pieces as numerical oracles: evaluation, bipartition generators, the critical
-a2 per bipartition, enumeration, and randomized global sampling.
+pieces as numerical oracles on `Cut`, the one cut type that delta also
+returns: evaluation, the two-level generator of a cut, the critical a2 per
+cut, enumeration of the cuts with connected sides, and randomized global
+sampling.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from .min_density import Cut
 
 __all__ = [
     "StarFunctionParams",
-    "Bipartition",
     "phi",
     "bipartition_generator",
     "min_a2_for_bipartition",
-    "crossing_edge_count",
     "enumerate_bipartitions",
     "SeminegativityCheck",
     "check_global_seminegativity",
@@ -57,33 +57,6 @@ class StarFunctionParams:
             raise ValueError("weights a1, a2 must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Two disjoint nonempty clusters covering 0..N-1."""
-
-    cluster1: tuple[int, ...]
-    cluster2: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c1 = tuple(sorted(int(i) for i in self.cluster1))
-        c2 = tuple(sorted(int(i) for i in self.cluster2))
-        if not c1 or not c2:
-            raise ValueError("both clusters must be nonempty")
-        n = len(c1) + len(c2)
-        if set(c1) & set(c2) or set(c1) | set(c2) != set(range(n)):
-            raise ValueError("clusters must be disjoint and cover 0..N-1")
-        object.__setattr__(self, "cluster1", c1)
-        object.__setattr__(self, "cluster2", c2)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.cluster1) + len(self.cluster2)
-
-    @classmethod
-    def from_cut(cls, cut: Cut) -> "Bipartition":
-        return cls(tuple(cut.side1()), tuple(cut.side2()))
-
-
 def phi(params: StarFunctionParams, e) -> float:
     """Evaluate phi at a zero-sum vector."""
     e = np.asarray(e, dtype=np.float64).reshape(-1)
@@ -96,68 +69,47 @@ def phi(params: StarFunctionParams, e) -> float:
     return float(params.a1 * np.abs(e).sum() - params.a2 * np.abs(e[eu] - e[ev]).sum())
 
 
-def bipartition_generator(b: Bipartition) -> np.ndarray:
-    """Unit-norm zero-sum vector that is constant on each cluster.
+def bipartition_generator(cut: Cut) -> np.ndarray:
+    """Unit-norm zero-sum vector that is constant on each side of the cut.
 
-    Takes the value eps1 > 0 on cluster1 and -(N1/N2) * eps1 on cluster2, the
-    unique shape (up to scale) of a two-level zero-sum vector.
+    Takes the value eps1 > 0 on V1 and -(N1/N2) * eps1 on V2, the unique
+    shape (up to scale) of a two-level zero-sum vector.
     """
-    n1, n2 = len(b.cluster1), len(b.cluster2)
-    n = b.n_vertices
-    eps1 = np.sqrt(n2 / (n1 * n))  # makes the vector unit 2-norm
-    e = np.empty(n)
-    e[list(b.cluster1)] = eps1
-    e[list(b.cluster2)] = -(n1 / n2) * eps1
-    return e
+    n1, n2 = cut.n1, cut.n2
+    eps1 = np.sqrt(n2 / (n1 * (n1 + n2)))  # makes the vector unit 2-norm
+    return np.where(cut.side_assignment, eps1, -(n1 / n2) * eps1)
 
 
-def crossing_edge_count(g: Graph, b: Bipartition) -> int:
-    if b.n_vertices != g.n_vertices:
-        raise ValueError("bipartition and graph sizes differ")
-    side1 = set(b.cluster1)
-    return sum(1 for u, v in g.edges if (u in side1) != (v in side1))
+def min_a2_for_bipartition(a1: float, cut: Cut) -> float:
+    """Smallest a2 making phi nonpositive on this cut's generators:
+    2 a1 N1 N2 / ((N1 + N2) b)."""
+    if cut.crossing_edges == 0:
+        raise ValueError("cut has no crossing edges (disconnected cut)")
+    return 2.0 * a1 * cut.n1 * cut.n2 / ((cut.n1 + cut.n2) * cut.crossing_edges)
 
 
-def min_a2_for_bipartition(a1: float, b: Bipartition, g: Graph) -> float:
-    """Smallest a2 making phi nonpositive on this bipartition's generators:
-    2 a1 N1 N2 / ((N1 + N2) b_cross)."""
-    b_cross = crossing_edge_count(g, b)
-    if b_cross == 0:
-        raise ValueError("bipartition has no crossing edges (disconnected cut)")
-    n1, n2 = len(b.cluster1), len(b.cluster2)
-    return 2.0 * a1 * n1 * n2 / ((n1 + n2) * b_cross)
-
-
-def _induces_connected(g: Graph, cluster: tuple[int, ...]) -> bool:
-    members = set(cluster)
-    seen = {cluster[0]}
-    stack = [cluster[0]]
-    adj = g.neighbour_lists()
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in members and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(members)
+def _induces_connected(g: Graph, members: np.ndarray) -> bool:
+    index = np.cumsum(members) - 1  # new label of each member vertex
+    eu, ev = g.edge_array()
+    inside = members[eu] & members[ev]
+    sub = Graph(int(index[-1]) + 1, zip(index[eu[inside]], index[ev[inside]]))
+    return is_connected(sub)
 
 
 def enumerate_bipartitions(g: Graph):
-    """All bipartitions whose clusters both induce connected subgraphs.
+    """All cuts whose sides both induce connected subgraphs.
 
     Exponential in N; intended for the small graphs used by oracles and tests.
-    Cluster1 is the side containing vertex 0.
+    Cuts come by increasing N1, and within one N1 in lexicographic order of
+    V1 (which always holds vertex 0).
     """
     n = g.n_vertices
-    vertices = list(range(1, n))
-    for r in range(0, n - 1):
-        for rest in combinations(vertices, r):
-            c1 = (0, *rest)
-            c2 = tuple(v for v in vertices if v not in rest)
-            if not c2:
-                continue
-            if _induces_connected(g, c1) and _induces_connected(g, c2):
-                yield Bipartition(c1, c2)
+    for r in range(n - 1):
+        for rest in combinations(range(1, n), r):
+            side = np.zeros(n, dtype=bool)
+            side[[0, *rest]] = True
+            if _induces_connected(g, side) and _induces_connected(g, ~side):
+                yield Cut.of(g, side)
 
 
 @dataclass(frozen=True)

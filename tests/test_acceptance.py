@@ -84,7 +84,7 @@ def test_criterion_05_star_oracle_equivalence_on_random_graphs():
         g = ps.erdos_renyi_graph(n, p, seed=int(rng.integers(10**9)))
         exact = ps.min_density_exact(g)
         best = max(
-            ps.min_a2_for_bipartition(1.0, b, g) for b in ps.enumerate_bipartitions(g)
+            ps.min_a2_for_bipartition(1.0, c) for c in ps.enumerate_bipartitions(g)
         )
         assert best == pytest.approx(1.0 / exact.delta, abs=1e-12), trial
 
@@ -92,7 +92,7 @@ def test_criterion_05_star_oracle_equivalence_on_random_graphs():
         check = ps.check_global_seminegativity(tight, n_samples=100_000, seed=trial)
         assert check.passed, (trial, check.max_phi)
 
-        generator = ps.bipartition_generator(ps.Bipartition.from_cut(exact.sparsest_cut))
+        generator = ps.bipartition_generator(exact.sparsest_cut)
         slack = ps.StarFunctionParams(1.0, 0.9 / exact.delta, g)
         assert ps.phi(slack, generator) > 1e-10, trial
 

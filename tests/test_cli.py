@@ -233,6 +233,15 @@ def test_simulate_refuses_infinite_t_end(tmp_path, capsys):
     assert "t_end must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude", [1e308, float("nan"), float("inf")])
+def test_simulate_refuses_unusable_init_amplitude(tmp_path, capsys, amplitude):
+    sim = {"dt": 1e-3, "t_end": 0.2, "seed": 1, "init_amplitude": amplitude}
+    cfg = write_config(tmp_path / "cfg.json", sim=sim)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "init_amplitude" in err
+
+
 def test_simulate_gain_override_needs_both_flags(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["simulate", "--config", str(cfg), "--c", "10.0"]) == 2

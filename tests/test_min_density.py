@@ -227,6 +227,24 @@ def test_heuristic_is_deterministic_per_seed():
     assert r1.sparsest_cut == r2.sparsest_cut
 
 
+@pytest.mark.parametrize(
+    "g",
+    [ps.ring_graph(11), ps.path_graph(10), ps.star_graph(9),
+     ps.erdos_renyi_graph(12, 0.25, seed=1), ps.erdos_renyi_graph(15, 0.15, seed=4)],
+    ids=["ring11", "path10", "star9", "ER12", "ER15"],
+)
+def test_bfs_grown_side_is_connected_with_exactly_k_vertices(g):
+    rng = np.random.default_rng(0)
+    for k in range(1, g.n_vertices // 2 + 1):
+        for _ in range(8):
+            side = min_density._bfs_grown_side(g, k, rng)
+            assert side.dtype == bool and int(side.sum()) == k
+            inside = [(u, v) for u, v in g.edges if side[u] and side[v]]
+            label = {int(v): i for i, v in enumerate(np.flatnonzero(side))}
+            induced = ps.Graph(k, [(label[u], label[v]) for u, v in inside])
+            assert ps.is_connected(induced), (k, np.flatnonzero(side))
+
+
 # ----------------------------------------------------------------------------
 # Structural properties
 # ----------------------------------------------------------------------------

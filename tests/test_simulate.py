@@ -470,6 +470,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="t_end"):
             ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g,
                          c=1.0, cd=1.0, t_end=t_end)
+    for amplitude in (1e308, -1e308, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="init_amplitude"):
+            ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g,
+                         c=1.0, cd=1.0, init_amplitude=amplitude)
 
 
 # ----------------------------------------------------------------------------

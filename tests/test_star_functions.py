@@ -61,24 +61,37 @@ def test_positive_homogeneity():
         assert ps.phi(p, k * e) == pytest.approx(k * base, rel=1e-12, abs=1e-12)
 
 
+def cut(g: ps.Graph, v1) -> ps.Cut:
+    """The cut of g whose side V1 holds the listed vertices."""
+    side = np.zeros(g.n_vertices, dtype=bool)
+    side[list(v1)] = True
+    return ps.Cut.of(g, side)
+
+
+def crossing_recount(g: ps.Graph, v1) -> int:
+    """Crossing edges of the cut with side V1 = v1, by a plain set loop."""
+    side1 = {int(i) for i in v1}
+    return sum(1 for u, v in g.edges if (u in side1) != (v in side1))
+
+
 # ----------------------------------------------------------------------------
-# Bipartition generators
+# Cut generators
 # ----------------------------------------------------------------------------
 
 
 def test_generator_single_edge_split():
-    gen = ps.bipartition_generator(ps.Bipartition((0,), (1,)))
+    gen = ps.bipartition_generator(cut(ps.path_graph(2), (0,)))
     np.testing.assert_allclose(gen, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_generator_one_vs_two_split():
-    gen = ps.bipartition_generator(ps.Bipartition((0,), (1, 2)))
+    gen = ps.bipartition_generator(cut(ps.path_graph(3), (0,)))
     assert gen[0] > 0
     np.testing.assert_allclose(gen / gen[0], [1.0, -0.5, -0.5], atol=1e-14)
 
 
 def test_generator_balanced_split_of_four():
-    gen = ps.bipartition_generator(ps.Bipartition((0, 1), (2, 3)))
+    gen = ps.bipartition_generator(cut(ps.ring_graph(4), (0, 1)))
     np.testing.assert_allclose(gen / gen[0], [1.0, 1.0, -1.0, -1.0], atol=1e-14)
 
 
@@ -88,19 +101,22 @@ def test_generator_is_unit_norm_and_zero_sum():
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n))
         members = rng.permutation(n)
-        b = ps.Bipartition(tuple(members[:k]), tuple(members[k:]))
-        gen = ps.bipartition_generator(b)
+        gen = ps.bipartition_generator(cut(ps.path_graph(n), members[:k]))
         assert np.linalg.norm(gen) == pytest.approx(1.0, abs=1e-12)
         assert abs(gen.sum()) <= 1e-12
 
 
 def test_bipartition_validation():
+    # Overlapping or non-covering clusters cannot be written as a mask.
+    g = ps.path_graph(3)
     with pytest.raises(ValueError, match="nonempty"):
-        ps.Bipartition((), (0, 1))
-    with pytest.raises(ValueError, match="disjoint"):
-        ps.Bipartition((0, 1), (1, 2))
-    with pytest.raises(ValueError, match="cover"):
-        ps.Bipartition((0,), (2,))
+        ps.Cut.of(g, [False, False, False])
+    with pytest.raises(ValueError, match="nonempty"):
+        ps.Cut.of(g, [True, True, True])
+    with pytest.raises(ValueError, match="length 3"):
+        ps.Cut.of(g, [True, False])
+    with pytest.raises(ValueError, match="length 3"):
+        ps.Cut.of(g, np.ones((3, 1), dtype=bool))
 
 
 def test_generator_matches_two_level_closed_form():
@@ -111,59 +127,90 @@ def test_generator_matches_two_level_closed_form():
         n = g.n_vertices
         k = int(rng.integers(1, n))
         members = rng.permutation(n)
-        b = ps.Bipartition(tuple(members[:k]), tuple(members[k:]))
-        gen = ps.bipartition_generator(b)
+        c = cut(g, members[:k])
+        gen = ps.bipartition_generator(c)
         a1, a2 = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))
-        eps1 = gen[b.cluster1[0]]
-        eps2 = gen[b.cluster2[0]]
-        n1, n2 = len(b.cluster1), len(b.cluster2)
-        b_cross = ps.crossing_edge_count(g, b)
-        closed = a1 * (n1 * abs(eps1) + n2 * abs(eps2)) - a2 * b_cross * abs(eps1 - eps2)
+        eps1 = gen[c.side1()[0]]
+        eps2 = gen[c.side2()[0]]
+        assert c.crossing_edges == crossing_recount(g, members[:k])
+        closed = a1 * (c.n1 * abs(eps1) + c.n2 * abs(eps2)) - a2 * c.crossing_edges * abs(eps1 - eps2)
         assert ps.phi(params(a1, a2, g), gen) == pytest.approx(closed, abs=1e-12)
 
 
 # ----------------------------------------------------------------------------
-# Critical a2 per bipartition
+# Cut.of against an independent recount
+# ----------------------------------------------------------------------------
+
+
+def test_cut_of_is_canonical_and_counts_crossings():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def graphs_and_masks(draw):
+        n = draw(st.integers(2, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = ps.Graph(n, sorted(set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n)))))
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        hyp.assume(0 < mask.sum() < n)
+        return g, mask
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+    @hyp.given(graphs_and_masks())
+    def check(case):
+        g, mask = case
+        c = ps.Cut.of(g, mask)
+        assert c == ps.Cut.of(g, ~mask)
+        assert c.side_assignment[0] is True
+        assert c.n1 + c.n2 == g.n_vertices
+        assert c.n1 == sum(c.side_assignment)
+        assert c.crossing_edges == crossing_recount(g, np.flatnonzero(mask))
+
+    check()
+
+
+# ----------------------------------------------------------------------------
+# Critical a2 per cut
 # ----------------------------------------------------------------------------
 
 
 def test_min_a2_single_edge():
-    g = ps.Graph(2, ((0, 1),))
-    assert ps.min_a2_for_bipartition(1.0, ps.Bipartition((0,), (1,)), g) == pytest.approx(1.0)
+    assert ps.min_a2_for_bipartition(1.0, cut(ps.Graph(2, ((0, 1),)), (0,))) == pytest.approx(1.0)
 
 
 def test_min_a2_ring4_adjacent_pairs():
-    g = ps.ring_graph(4)
-    b = ps.Bipartition((0, 1), (2, 3))
-    assert ps.crossing_edge_count(g, b) == 2
-    assert ps.min_a2_for_bipartition(1.0, b, g) == pytest.approx(1.0)
+    c = cut(ps.ring_graph(4), (0, 1))
+    assert c.crossing_edges == 2
+    assert ps.min_a2_for_bipartition(1.0, c) == pytest.approx(1.0)
 
 
 def test_min_a2_star_leaf_split():
-    g = ps.star_graph(5)
-    b = ps.Bipartition((1,), (0, 2, 3, 4))
-    assert ps.min_a2_for_bipartition(1.0, b, g) == pytest.approx(1.6)
+    c = cut(ps.star_graph(5), (1,))
+    assert ps.min_a2_for_bipartition(1.0, c) == pytest.approx(1.6)
 
 
 def test_min_a2_zero_crossing_is_error():
     g = ps.Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))  # two triangles
     with pytest.raises(ValueError, match="no crossing edges"):
-        ps.min_a2_for_bipartition(1.0, ps.Bipartition((0, 1, 2), (3, 4, 5)), g)
+        ps.min_a2_for_bipartition(1.0, cut(g, (0, 1, 2)))
 
 
 def test_enumerate_bipartitions_requires_connected_clusters():
     path3 = ps.path_graph(3)
-    found = {(b.cluster1, b.cluster2) for b in ps.enumerate_bipartitions(path3)}
-    assert found == {((0,), (1, 2)), ((0, 1), (2,))}
+    found = [(tuple(c.side1()), tuple(c.side2())) for c in ps.enumerate_bipartitions(path3)]
+    assert found == [((0,), (1, 2)), ((0, 1), (2,))]
     ring4 = ps.ring_graph(4)
     assert sum(1 for _ in ps.enumerate_bipartitions(ring4)) == 6
+    star4 = ps.star_graph(4)  # centre 0: only single leaves split off
+    found = [tuple(c.side2()) for c in ps.enumerate_bipartitions(star4)]
+    assert found == [(3,), (2,), (1,)]
 
 
 def test_max_min_a2_over_bipartitions_equals_inverse_density():
     rng = np.random.default_rng(5)
     for _ in range(15):
         g = random_connected_graph(rng, 4, 10)
-        best = max(ps.min_a2_for_bipartition(1.0, b, g) for b in ps.enumerate_bipartitions(g))
+        best = max(ps.min_a2_for_bipartition(1.0, c) for c in ps.enumerate_bipartitions(g))
         delta = ps.min_density_exact(g).delta
         assert best == pytest.approx(1.0 / delta, abs=1e-12)
 
@@ -187,7 +234,7 @@ def test_sparsest_cut_generator_witnesses_subcritical_violation():
     for _ in range(5):
         g = random_connected_graph(rng, 5, 10)
         result = ps.min_density_exact(g)
-        gen = ps.bipartition_generator(ps.Bipartition.from_cut(result.sparsest_cut))
+        gen = ps.bipartition_generator(result.sparsest_cut)
         value = ps.phi(params(1.0, 0.9 / result.delta, g), gen)
         assert value > 1e-10
 
