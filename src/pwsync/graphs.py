@@ -86,12 +86,17 @@ class Graph:
         a[v, u] = 1
         return a
 
-    def neighbour_lists(self) -> list[list[int]]:
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
+        return tuple(map(tuple, adj))
+
+    def neighbour_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only neighbours of each vertex, in edge order, built once."""
+        return self._neighbours
 
 
 def laplacian(g: Graph) -> np.ndarray:

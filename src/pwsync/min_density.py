@@ -12,7 +12,8 @@ assignments, and the edges joining the blocks cost one matrix product per
 chunk of cuts, whatever the edge count. Otherwise it is approximated by a
 size-constrained Kernighan-Lin local search run once per admissible size
 split (1, N-1), (2, N-2), ..., (floor(N/2), ceil(N/2)), keeping the smallest
-density found. Closed forms are available for the standard named topologies.
+density found; the restarts of a size class are refined together as one
+batch. Closed forms are available for the standard named topologies.
 
 Cuts are canonicalised so that vertex 0 lies on side V1; ties between cuts of
 equal density are broken by smallest N1, then by lexicographically smallest
@@ -43,6 +44,10 @@ __all__ = [
 EXACT_VERTEX_CAP = 22
 
 _CHUNK = 1 << 18
+
+# Kernighan-Lin swap gain standing in for a pair that may not swap: below every
+# real gain (at least -2N - 2), and far enough from the int64 minimum to add to.
+_NEVER = np.iinfo(np.int64).min // 2
 
 
 def _crossing_count(side: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> int:
@@ -214,52 +219,53 @@ def _bit_reversed(masks: np.ndarray, n_bits: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-def _swap_gain_matrix(adj: np.ndarray, side: np.ndarray, free1: np.ndarray, free2: np.ndarray) -> np.ndarray:
-    """Crossing-count reduction for every (u in free1) x (v in free2) swap."""
-    in1 = adj @ side  # neighbours on side V1, per vertex
-    deg = adj.sum(axis=1)
-    in2 = deg - in1
-    d = np.where(side, in2 - in1, in1 - in2)  # external minus internal
-    return d[free1][:, None] + d[free2][None, :] - 2 * adj[np.ix_(free1, free2)]
+def _kl_refine(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Kernighan-Lin passes at fixed side sizes on an (R, N) batch of starts.
 
-
-def _kl_refine(adj: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """Kernighan-Lin passes at fixed side sizes until no pass improves.
-
-    Each pass greedily swaps (and locks) the best remaining pair even through
-    zero or negative gains, then rolls back to the best prefix; this lets the
-    search cross plateaus that defeat pure hill climbing.
+    Every row marks the same number k of vertices True. Each pass greedily
+    swaps (and locks) the best remaining pair even through zero or negative
+    gains, then rolls back to the best prefix; this lets the search cross
+    plateaus that defeat pure hill climbing. A row leaves the batch once a
+    pass cannot improve it. The rows run in lockstep: every pass makes
+    min(k, N - k) swaps, so after j swaps each row has k - j free vertices on
+    V1, and the gains of swapping them with every vertex form one
+    (R, k - j, N) tensor in which only the free V2 columns can win. Its flat
+    argmax picks the least u, then the least v, among equal gains.
     """
-    side = side.copy()
-    n = side.shape[0]
-    while True:
-        locked = np.zeros(n, dtype=bool)
-        moves: list[tuple[int, int]] = []
-        gains: list[int] = []
-        cumulative = 0
-        work = side.copy()
-        for _ in range(min(int(side.sum()), int(n - side.sum()))):
-            free1 = np.nonzero(work & ~locked)[0]
-            free2 = np.nonzero(~work & ~locked)[0]
-            if free1.size == 0 or free2.size == 0:
-                break
-            gain = _swap_gain_matrix(adj, work, free1, free2)
-            flat = int(np.argmax(gain))
-            u = int(free1[flat // free2.size])
-            v = int(free2[flat % free2.size])
-            cumulative += int(gain.flat[flat])
-            work[u], work[v] = False, True
-            locked[u] = locked[v] = True
-            moves.append((u, v))
-            gains.append(cumulative)
-        if not gains:
-            break
-        best_prefix = int(np.argmax(gains))
-        if gains[best_prefix] <= 0:
-            break
-        for u, v in moves[: best_prefix + 1]:
-            side[u], side[v] = False, True
-    return side
+    sides = sides.copy()
+    adj2 = 2 * adj
+    n = sides.shape[1]
+    k = int(sides[0].sum())
+    n_swaps = min(k, n - k)
+    active = np.arange(sides.shape[0])
+    while active.size:
+        free1 = sides[active]
+        free2 = ~free1
+        row = np.arange(active.size)
+        # Crossing minus internal neighbours of each vertex while on V1 (the
+        # negative while on V2); a free vertex has not moved.
+        ext = adj.sum(axis=1) - free1 @ adj2
+        moved_u, moved_v, step_gains = [], [], []
+        for _ in range(n_swaps):
+            i1 = np.nonzero(free1)[1].reshape(active.size, -1)
+            gain = (ext[row[:, None], i1][:, :, None] - adj2[i1]
+                    + np.where(free2, -ext, _NEVER)[:, None, :]).reshape(active.size, -1)
+            flat = np.argmax(gain, axis=1)
+            j1, v = np.divmod(flat, n)
+            u = i1[row, j1]
+            free1[row, u] = free2[row, v] = False
+            ext += adj2[u] - adj2[v]
+            moved_u.append(u)
+            moved_v.append(v)
+            step_gains.append(gain[row, flat])
+        gains = np.cumsum(np.column_stack(step_gains), axis=1)
+        best_prefix = np.argmax(gains, axis=1)
+        improved = gains[row, best_prefix] > 0
+        r, j = np.nonzero((np.arange(n_swaps) <= best_prefix[:, None]) & improved[:, None])
+        sides[active[r], np.column_stack(moved_u)[r, j]] = False
+        sides[active[r], np.column_stack(moved_v)[r, j]] = True
+        active = active[improved]
+    return sides
 
 
 def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,9 +294,11 @@ def min_density_heuristic(g: Graph, seed: int | None = None, *, restarts: int = 
 
     For every target split (k, N-k) the crossing count is minimised by
     Kernighan-Lin refinement from `restarts` starts (half grown as connected
-    clusters, half uniform random); the best density over all size classes is
-    returned. Deterministic for a fixed seed.
+    clusters, half uniform random), refined as one batch; the best density
+    over all size classes is returned. Deterministic for a fixed seed.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     _require_connected(g)
     n = g.n_vertices
     if n < 2:
@@ -300,12 +308,10 @@ def min_density_heuristic(g: Graph, seed: int | None = None, *, restarts: int = 
 
     def refined_cuts():
         for k in range(1, n // 2 + 1):
-            for start in range(restarts):
-                if start < (restarts + 1) // 2:
-                    side = _bfs_grown_side(g, k, rng)
-                else:
-                    side = _uniform_side(n, k, rng)
-                yield Cut.of(g, _kl_refine(adj, side))
+            # Refinement draws nothing, so drawing every start first keeps the stream.
+            starts = [_bfs_grown_side(g, k, rng) if start < (restarts + 1) // 2
+                      else _uniform_side(n, k, rng) for start in range(restarts)]
+            yield from (Cut.of(g, side) for side in _kl_refine(adj, np.array(starts)))
 
     return _result_from_cut(min(refined_cuts(), key=_cut_sort_key), "heuristic")
 

@@ -145,6 +145,21 @@ def test_degrees_and_adjacency_match_edge_loops(g):
     assert g.degrees().dtype == g.adjacency().dtype == np.int64
 
 
+@pytest.mark.parametrize("g", [ps.Graph(3), ps.star_graph(7), ps.erdos_renyi_graph(10, 0.4, seed=3)])
+def test_neighbour_lists_match_edge_loop_and_are_built_once(g):
+    nbrs: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    cached = g.neighbour_lists()
+    assert cached == tuple(map(tuple, nbrs))
+    assert g.neighbour_lists() is cached
+    assert all(isinstance(row, tuple) for row in cached)
+    # The cached lists are not part of a graph's value.
+    twin = ps.Graph(g.n_vertices, g.edges)
+    assert twin == g and hash(twin) == hash(g)
+
+
 # ----------------------------------------------------------------------------
 # Connectivity and algebraic connectivity
 # ----------------------------------------------------------------------------

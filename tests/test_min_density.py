@@ -227,6 +227,107 @@ def test_heuristic_is_deterministic_per_seed():
     assert r1.sparsest_cut == r2.sparsest_cut
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_heuristic_refuses_fewer_than_one_restart(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        ps.min_density_heuristic(ps.ring_graph(6), seed=0, restarts=restarts)
+
+
+def _side(n: int, side2: list[int]) -> tuple[bool, ...]:
+    return tuple(v not in side2 for v in range(n))
+
+
+# Recorded from the single-start refinement loop that preceded the batched
+# one; any change to the RNG stream or to a tie-break moves one of these.
+HEURISTIC_GOLDEN = [
+    ("flagship-ER30", ps.erdos_renyi_graph(30, 0.2, seed=7), 7, "0x1.08d3dcb08d3ddp+0",
+     ps.Cut(_side(30, [5]), 29, 1, 2)),
+    ("ring30", ps.ring_graph(30), 0, "0x1.1111111111111p-3",
+     ps.Cut(_side(30, list(range(1, 16))), 15, 15, 2)),
+    ("star30", ps.star_graph(30), 0, "0x1.08d3dcb08d3ddp-1", ps.Cut(_side(30, [1]), 29, 1, 1)),
+    ("ER40", ps.erdos_renyi_graph(40, 0.15, seed=2), 5, "0x1.0690690690690p-1",
+     ps.Cut(_side(40, [34]), 39, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("g,seed,delta_hex,cut", [c[1:] for c in HEURISTIC_GOLDEN],
+                         ids=[c[0] for c in HEURISTIC_GOLDEN])
+def test_heuristic_golden_results(g, seed, delta_hex, cut):
+    result = ps.min_density_heuristic(g, seed=seed)
+    assert result == ps.MinDensityResult(float.fromhex(delta_hex), cut, "heuristic")
+
+
+def _swap_gain_matrix(adj, side, free1, free2):
+    """Crossing-count reduction for every (u in free1) x (v in free2) swap."""
+    in1 = adj @ side  # neighbours on side V1, per vertex
+    deg = adj.sum(axis=1)
+    in2 = deg - in1
+    d = np.where(side, in2 - in1, in1 - in2)  # external minus internal
+    return d[free1][:, None] + d[free2][None, :] - 2 * adj[np.ix_(free1, free2)]
+
+
+def _kl_refine_single(adj, side):
+    """Reference: Kernighan-Lin passes on one start, the gain matrix rebuilt per swap."""
+    side = side.copy()
+    n = side.shape[0]
+    while True:
+        locked = np.zeros(n, dtype=bool)
+        moves, gains = [], []
+        cumulative = 0
+        work = side.copy()
+        for _ in range(min(int(side.sum()), int(n - side.sum()))):
+            free1 = np.nonzero(work & ~locked)[0]
+            free2 = np.nonzero(~work & ~locked)[0]
+            gain = _swap_gain_matrix(adj, work, free1, free2)
+            flat = int(np.argmax(gain))
+            u = int(free1[flat // free2.size])
+            v = int(free2[flat % free2.size])
+            cumulative += int(gain.flat[flat])
+            work[u], work[v] = False, True
+            locked[u] = locked[v] = True
+            moves.append((u, v))
+            gains.append(cumulative)
+        best_prefix = int(np.argmax(gains))
+        if gains[best_prefix] <= 0:
+            return side
+        for u, v in moves[: best_prefix + 1]:
+            side[u], side[v] = False, True
+
+
+def test_batched_refinement_equals_single_start_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 26))
+        family = draw(st.sampled_from(["random", "ring", "path", "star", "complete", "circulant"]))
+        if family == "circulant" and n >= 3:
+            return ps.nearest_neighbours_graph(n, draw(st.integers(1, (n - 1) // 2)))
+        if family in ("ring", "path", "star", "complete"):
+            return ps.generate_topology(family, n)
+        # A random spanning tree keeps the graph connected; extra edges add cycles.
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = list(itertools.combinations(range(n), 2))
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+        return ps.Graph(n, sorted(edges))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(graphs(), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def check(g, restarts, seed):
+        rng = np.random.default_rng(seed)
+        adj = g.adjacency()
+        n = g.n_vertices
+        for k in range(1, n // 2 + 1):
+            starts = np.array([min_density._bfs_grown_side(g, k, rng) if r % 2 else
+                               min_density._uniform_side(n, k, rng) for r in range(restarts)])
+            batched = min_density._kl_refine(adj, starts)
+            for start, got in zip(starts, batched):
+                assert np.array_equal(got, _kl_refine_single(adj, start)), (k, np.flatnonzero(start))
+
+    check()
+
+
 @pytest.mark.parametrize(
     "g",
     [ps.ring_graph(11), ps.path_graph(10), ps.star_graph(9),
