@@ -93,6 +93,13 @@ def _vector(obj, path: str, length: int) -> np.ndarray:
     return arr
 
 
+def _scalar(convert, value, path: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: expected {convert.__name__}, got {value!r}") from exc
+
+
 def _parse_system(doc: dict) -> tuple[PwsVectorField, SigmaQuadCertificate, np.ndarray, np.ndarray]:
     sys_doc = _expect_mapping(doc.get("system"), "system")
     if "a" not in sys_doc:
@@ -106,11 +113,9 @@ def _parse_system(doc: dict) -> tuple[PwsVectorField, SigmaQuadCertificate, np.n
         if "gain" not in item or "coordinate" not in item:
             raise ConfigError(f"system.switch_terms[{i}]: needs 'gain' and 'coordinate'")
         gain = _vector(item["gain"], f"system.switch_terms[{i}].gain", n)
-        coord = int(item["coordinate"])
+        coord = _scalar(int, item["coordinate"], f"system.switch_terms[{i}].coordinate")
         if not (0 <= coord < n):
-            raise ConfigError(
-                f"system.switch_terms[{i}].coordinate: {coord} out of range for n={n}"
-            )
+            raise ConfigError(f"system.switch_terms[{i}].coordinate: {coord} out of range for n={n}")
         terms.append(SwitchTerm(gain=gain, coordinate=coord))
     field = PwsVectorField(a=a, d=d, switch_terms=tuple(terms))
 
@@ -141,14 +146,10 @@ def _parse_layer(doc, path: str, base_dir: Path) -> Graph:
             raise ConfigError(f"{path}.file: {exc}") from exc
     if "kind" not in layer or "n" not in layer:
         raise ConfigError(f"{path}: needs either 'file' or 'kind' plus 'n'")
+    params = {key: _scalar(kind, layer[key], f"{path}.{key}")
+              for key, kind in (("n", int), ("l", int), ("p", float), ("seed", int)) if key in layer}
     try:
-        return generate_topology(
-            layer["kind"],
-            int(layer["n"]),
-            l=int(layer["l"]) if "l" in layer else None,
-            p=float(layer["p"]) if "p" in layer else None,
-            seed=int(layer["seed"]) if "seed" in layer else None,
-        )
+        return generate_topology(layer["kind"], **params)
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -182,7 +183,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         gains = _expect_mapping(gains, "gains")
         if "c" not in gains or "cd" not in gains:
             raise ConfigError("gains: needs numeric 'c' and 'cd', or the string \"auto\"")
-        c, cd = float(gains["c"]), float(gains["cd"])
+        c, cd = _scalar(float, gains["c"], "gains.c"), _scalar(float, gains["cd"], "gains.cd")
 
     sim = _expect_mapping(doc.get("sim", {}), "sim")
     out = _expect_mapping(doc.get("output", {}), "output")
@@ -196,15 +197,15 @@ def load_experiment_config(path) -> ExperimentConfig:
         gains_auto=gains_auto,
         c=c,
         cd=cd,
-        dt=float(sim.get("dt", 1e-3)),
-        t_end=float(sim.get("t_end", 5.0)),
-        seed=int(sim.get("seed", 0)),
-        init_amplitude=float(sim.get("init_amplitude", 5.0)),
-        sign_mode=str(sim.get("sign_mode", "exact")),
-        smooth_epsilon=float(sim.get("smooth_epsilon", 1e-3)),
-        out_dir=Path(out.get("directory", ".")),
-        decimation=int(out.get("decimation", 10)),
-        per_node_errors=bool(out.get("per_node_errors", False)),
+        dt=_scalar(float, sim.get("dt", 1e-3), "sim.dt"),
+        t_end=_scalar(float, sim.get("t_end", 5.0), "sim.t_end"),
+        seed=_scalar(int, sim.get("seed", 0), "sim.seed"),
+        init_amplitude=_scalar(float, sim.get("init_amplitude", 5.0), "sim.init_amplitude"),
+        sign_mode=_scalar(str, sim.get("sign_mode", "exact"), "sim.sign_mode"),
+        smooth_epsilon=_scalar(float, sim.get("smooth_epsilon", 1e-3), "sim.smooth_epsilon"),
+        out_dir=_scalar(Path, out.get("directory", "."), "output.directory"),
+        decimation=_scalar(int, out.get("decimation", 10), "output.decimation"),
+        per_node_errors=_scalar(bool, out.get("per_node_errors", False), "output.per_node_errors"),
     )
 
 

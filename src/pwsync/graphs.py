@@ -1,15 +1,15 @@
 """Undirected unweighted graphs: matrices, connectivity, and topology generators.
 
 Graphs are always simple (no self-loops, no parallel edges) and vertices are
-0-indexed. Edges are kept sorted lexicographically so that derived objects
-(endpoint arrays, incidence matrix columns, generated files) are deterministic.
+0-indexed. A graph is its vertex count and two read-only int64 endpoint
+arrays (u_k, v_k) with u_k < v_k, sorted lexicographically, so that derived
+objects (incidence matrix columns, generated files) are deterministic. Every
+computation reads those arrays; the `edges` tuple is built only on request.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,46 +34,69 @@ __all__ = [
 TOPOLOGY_KINDS = ("complete", "star", "path", "ring", "nearest_neighbours", "erdos_renyi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n_vertices-1.
+    """Immutable simple undirected graph on vertices 0..n_vertices-1.
 
-    Edges are stored as a lexicographically sorted tuple of (i, j) pairs with
-    i < j; the constructor normalises and validates any iterable of pairs.
+    `edges` may be any iterable of (i, j) pairs, in any order and orientation,
+    or an (E, 2) integer array. The constructor validates them (the first
+    self-loop or out-of-range edge in input order is named; duplicates are
+    refused) and keeps only the sorted endpoint arrays of `edge_array()`.
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int], ...] = field(default=())
+    _uv: tuple[np.ndarray, np.ndarray]  # what edge_array() returns
 
-    def __post_init__(self) -> None:
-        n = self.n_vertices
-        if n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n_vertices={n}")
-        normalised = []
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v}) is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n_vertices={n}")
-            normalised.append((u, v) if u < v else (v, u))
-        if len(set(normalised)) != len(normalised):
+    def __new__(cls, n_vertices: int, edges=()) -> Graph:
+        if n_vertices < 1:
+            raise ValueError(f"graph needs at least one vertex, got n_vertices={n_vertices}")
+        uv = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if uv.size and uv.shape[1:] != (2,):
+            raise ValueError(f"edges must be (i, j) pairs, got an array of shape {uv.shape}")
+        u, v = uv.reshape(-1, 2).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n_vertices))
+        if bad.size:
+            a, b = int(u[bad[0]]), int(v[bad[0]])
+            raise ValueError(f"self-loop ({a},{b}) is not allowed" if a == b
+                             else f"edge ({a},{b}) out of range for n_vertices={n_vertices}")
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        if ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any():
             raise ValueError("duplicate edges are not allowed")
-        object.__setattr__(self, "edges", tuple(sorted(normalised)))
+        return cls._of_sorted(n_vertices, lo, hi)
+
+    @classmethod
+    def _of_sorted(cls, n_vertices: int, u: np.ndarray, v: np.ndarray) -> Graph:
+        """Graph whose `edge_array()` is (u, v): own int64 arrays, sorted, u < v, no repeats; unchecked."""
+        g = object.__new__(cls)
+        u.setflags(write=False)
+        v.setflags(write=False)
+        g.__dict__.update(n_vertices=n_vertices, _uv=(u, v))  # frozen: no __setattr__
+        return g
+
+    def __reduce__(self):
+        return Graph, (self.n_vertices, np.column_stack(self._uv))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Graph) and self.n_vertices == other.n_vertices
+                and all(map(np.array_equal, self._uv, other._uv)))
+
+    def __hash__(self) -> int:
+        return hash((self.n_vertices, self._uv[0].tobytes(), self._uv[1].tobytes()))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The sorted (i, j) pairs, i < j, as Python ints; built on every call."""
+        return tuple(zip(*(arr.tolist() for arr in self._uv)))
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        uv = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
-        uv.setflags(write=False)
-        return uv[0], uv[1]
+        return self._uv[0].size
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only endpoint arrays (u_k, v_k) over the sorted edge list, built once."""
-        return self._endpoints
+        """The read-only endpoint arrays (u_k, v_k), the same objects on every call."""
+        return self._uv
 
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.edge_array()), minlength=self.n_vertices)
@@ -82,21 +105,8 @@ class Graph:
         """Dense 0/1 adjacency matrix (int64)."""
         u, v = self.edge_array()
         a = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int64)
-        a[u, v] = 1
-        a[v, u] = 1
+        a[u, v] = a[v, u] = 1
         return a
-
-    @cached_property
-    def _neighbours(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(tuple, adj))
-
-    def neighbour_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Read-only neighbours of each vertex, in edge order, built once."""
-        return self._neighbours
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -124,22 +134,27 @@ def incidence(g: Graph) -> np.ndarray:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability check from vertex 0."""
-    if g.n_vertices == 1:
-        return True
-    adj = g.neighbour_lists()
-    seen = np.zeros(g.n_vertices, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n_vertices
+    """Whether every vertex is reachable from vertex 0; see `_induces_connected`."""
+    return bool(_induces_connected(g, np.ones((1, g.n_vertices), dtype=bool))[0])
+
+
+def _induces_connected(g: Graph, sides: np.ndarray) -> np.ndarray:
+    """Whether the vertices marked in each row of `sides` induce a connected subgraph.
+
+    The rows' induced subgraphs form one disjoint union over the flat vertex
+    indices row * N + i. The set reached from each row's first marked vertex
+    grows by both endpoints of every edge that crosses it, until none does:
+    eccentricity + 1 passes over the edge arrays, with no list built.
+    """
+    n = g.n_vertices
+    eu, ev = g.edge_array()
+    row, k = np.nonzero(sides[:, eu] & sides[:, ev])
+    u, v = row * n + eu[k], row * n + ev[k]
+    seen = np.zeros(sides.size, dtype=bool)
+    seen[np.arange(len(sides)) * n + sides.argmax(axis=1)] = True
+    while (cross := seen[u] != seen[v]).any():
+        seen[u[cross]] = seen[v[cross]] = True
+    return (seen.reshape(sides.shape) == sides).all(axis=1)
 
 
 def algebraic_connectivity(g: Graph) -> float:
@@ -166,26 +181,28 @@ def _check_n(n: int) -> None:
 
 def complete_graph(n: int) -> Graph:
     _check_n(n)
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph._of_sorted(n, *np.triu_indices(n, 1))
 
 
 def star_graph(n: int) -> Graph:
     """Star with vertex 0 as the hub."""
     _check_n(n)
-    return Graph(n, tuple((0, i) for i in range(1, n)))
+    return Graph._of_sorted(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
 
 
 def path_graph(n: int) -> Graph:
     _check_n(n)
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return Graph._of_sorted(n, np.arange(n - 1), np.arange(1, n))
 
 
 def ring_graph(n: int) -> Graph:
+    """Cycle 0-1-...-(n-1)-0; a 2-ring would need a parallel edge, so n = 2 gives one edge."""
     _check_n(n)
     if n == 2:
-        # A 2-ring would need a parallel edge; collapse to the single edge.
-        return Graph(2, ((0, 1),))
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+        return path_graph(2)
+    u, v = np.arange(-1, n - 1), np.arange(n)
+    u[0], v[0], v[1] = 0, 1, n - 1  # (0, 1) and (0, n - 1) sort first; then (i, i + 1)
+    return Graph._of_sorted(n, u, v)
 
 
 def nearest_neighbours_graph(n: int, l: int) -> Graph:
@@ -196,8 +213,8 @@ def nearest_neighbours_graph(n: int, l: int) -> Graph:
     _check_n(n)
     if not (1 <= l <= (n - 1) // 2):
         raise ValueError(f"need 1 <= l <= floor((n-1)/2) = {(n - 1) // 2}, got l={l}")
-    edges = tuple((i, (i + k) % n) for i in range(n) for k in range(1, l + 1))
-    return Graph(n, edges)
+    i, k = np.divmod(np.arange(n * l), l)
+    return Graph(n, np.column_stack((i, (i + k + 1) % n)))
 
 
 def erdos_renyi_graph(n: int, p: float, seed: int | None = None, max_retries: int = 1000) -> Graph:
@@ -214,12 +231,10 @@ def erdos_renyi_graph(n: int, p: float, seed: int | None = None, max_retries: in
     iu, iv = np.triu_indices(n, 1)
     for _ in range(max_retries):
         keep = rng.random(iu.size) < p
-        g = Graph(n, tuple(zip(iu[keep].tolist(), iv[keep].tolist())))
+        g = Graph._of_sorted(n, iu[keep], iv[keep])
         if is_connected(g):
             return g
-    raise RuntimeError(
-        f"no connected Erdos-Renyi draw with n={n}, p={p} in {max_retries} retries"
-    )
+    raise RuntimeError(f"no connected Erdos-Renyi draw with n={n}, p={p} in {max_retries} retries")
 
 
 def generate_topology(
@@ -231,14 +246,9 @@ def generate_topology(
     seed: int | None = None,
 ) -> Graph:
     """Build one of the named topologies; see TOPOLOGY_KINDS."""
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "star":
-        return star_graph(n)
-    if kind == "path":
-        return path_graph(n)
-    if kind == "ring":
-        return ring_graph(n)
+    plain = {"complete": complete_graph, "star": star_graph, "path": path_graph, "ring": ring_graph}
+    if kind in plain:
+        return plain[kind](n)
     if kind == "nearest_neighbours":
         if l is None:
             raise ValueError("nearest_neighbours topology needs parameter l")
@@ -256,9 +266,8 @@ def generate_topology(
 
 
 def graph_to_text(g: Graph) -> str:
-    lines = [str(g.n_vertices)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    u, v = (a.tolist() for a in g.edge_array())
+    return "\n".join([str(g.n_vertices), *map("{} {}".format, u, v)]) + "\n"
 
 
 def write_graph_file(g: Graph, path) -> None:
@@ -269,29 +278,27 @@ def write_graph_file(g: Graph, path) -> None:
 def read_graph_file(path) -> Graph:
     """Parse a graph file, rejecting self-loops, duplicates and bad ranges."""
     with open(path, "r", encoding="ascii") as fh:
-        raw = [line.strip() for line in fh]
-    lines = [line for line in raw if line]
+        lines = [(no, text) for no, line in enumerate(fh, start=1) if (text := line.strip())]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     try:
-        n = int(lines[0])
+        n = int(lines[0][1])
     except ValueError as exc:
         raise ValueError(f"{path}: first line must be the vertex count") from exc
-    edges = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+    if n < 1:
+        raise ValueError(f"{path}: graph needs at least one vertex, got N={n}")
+    edges: set[tuple[int, int]] = set()
+    for lineno, line in lines[1:]:
+        try:
+            u, v = line.split()
+            u, v = int(u), int(v)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: expected two integers 'i j', got {line!r}") from exc
         if u >= v:
-            raise ValueError(
-                f"{path}:{lineno}: edge ({u},{v}) must satisfy i < j (no self-loops)"
-            )
+            raise ValueError(f"{path}:{lineno}: edge ({u},{v}) must satisfy i < j (no self-loops)")
         if not (0 <= u and v < n):
             raise ValueError(f"{path}:{lineno}: edge ({u},{v}) out of range for N={n}")
-        if (u, v) in seen:
+        if (u, v) in edges:
             raise ValueError(f"{path}:{lineno}: duplicate edge ({u},{v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, tuple(edges))
+        edges.add((u, v))
+    return Graph._of_sorted(n, *np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T.copy())

@@ -153,18 +153,14 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
     first_hi = n_lo + 1  # vertex of high-block column 0
     s_lo = np.hstack([np.ones((1 << n_lo, 1), dtype=np.int64), _bit_rows(n_lo)])
     s_hi = _bit_rows(n - 1 - n_lo)
-    b_lo = np.zeros(s_lo.shape[0], dtype=np.int64)
-    b_hi = np.zeros(s_hi.shape[0], dtype=np.int64)
+    eu, ev = g.edge_array()  # u < v, so a joining edge has u low and v high
+    low, high = ev < first_hi, eu >= first_hi
+    ju, jv = eu[~low & ~high], ev[~low & ~high] - first_hi
+    hu, hv = eu[high] - first_hi, ev[high] - first_hi
+    b_lo = (s_lo[:, eu[low]] ^ s_lo[:, ev[low]]).sum(axis=1) + s_lo[:, ju].sum(axis=1)
+    b_hi = (s_hi[:, hu] ^ s_hi[:, hv]).sum(axis=1) + s_hi[:, jv].sum(axis=1)
     joining = np.zeros((s_hi.shape[1], s_lo.shape[1]))  # J[high column, low vertex]
-    for u, v in g.edges:  # u < v, so a joining edge has u low and v high
-        if v < first_hi:
-            b_lo += s_lo[:, u] ^ s_lo[:, v]
-        elif u >= first_hi:
-            b_hi += s_hi[:, u - first_hi] ^ s_hi[:, v - first_hi]
-        else:
-            b_lo += s_lo[:, u]
-            b_hi += s_hi[:, v - first_hi]
-            joining[v - first_hi, u] = 1.0
+    joining[jv, ju] = 1.0
     twice_j_lo = 2.0 * (joining @ s_lo.T)
     s_hi_f = s_hi.astype(np.float64)
     n1_lo = s_lo.sum(axis=1)
@@ -268,13 +264,14 @@ def _kl_refine(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return sides
 
 
-def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
+def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator, adj=None) -> np.ndarray:
     """Connected side of size k grown from a random root (random frontier order).
 
     g must be connected and k < N, so the frontier never empties before k
-    vertices are taken.
+    vertices are taken. `adj` lists each vertex's neighbours in ascending
+    order, which is also their edge order; it is built from g when not given.
     """
-    adj = g.neighbour_lists()
+    adj = [np.flatnonzero(row).tolist() for row in g.adjacency()] if adj is None else adj
     root = int(rng.integers(g.n_vertices))
     side = np.zeros(g.n_vertices, dtype=bool)
     side[root] = True
@@ -305,11 +302,12 @@ def min_density_heuristic(g: Graph, seed: int | None = None, *, restarts: int = 
         raise ValueError("minimum density needs at least two vertices")
     rng = np.random.default_rng(seed)
     adj = g.adjacency()
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]  # built once for every grown start
 
     def refined_cuts():
         for k in range(1, n // 2 + 1):
             # Refinement draws nothing, so drawing every start first keeps the stream.
-            starts = [_bfs_grown_side(g, k, rng) if start < (restarts + 1) // 2
+            starts = [_bfs_grown_side(g, k, rng, nbrs) if start < (restarts + 1) // 2
                       else _uniform_side(n, k, rng) for start in range(restarts)]
             yield from (Cut.of(g, side) for side in _kl_refine(adj, np.array(starts)))
 
@@ -356,11 +354,12 @@ def min_density_closed_form(kind: str, n: int, l: int | None = None) -> float:
 
 def remove_edges(g: Graph, edges_to_remove) -> Graph:
     """New graph without the listed edges; connectivity is the caller's concern."""
-    to_drop = set()
-    present = set(g.edges)
+    eu, ev = g.edge_array()
+    keep = np.ones(g.n_edges, dtype=bool)
     for u, v in edges_to_remove:
         e = (u, v) if u < v else (v, u)
-        if e not in present:
+        hit = (eu == e[0]) & (ev == e[1])
+        if not hit.any():
             raise ValueError(f"edge {e} is not present in the graph")
-        to_drop.add(e)
-    return Graph(g.n_vertices, tuple(e for e in g.edges if e not in to_drop))
+        keep &= ~hit
+    return Graph._of_sorted(g.n_vertices, eu[keep], ev[keep])

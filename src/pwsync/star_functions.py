@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, _induces_connected, is_connected
 from .min_density import Cut
 
 __all__ = [
@@ -88,28 +88,20 @@ def min_a2_for_bipartition(a1: float, cut: Cut) -> float:
     return 2.0 * a1 * cut.n1 * cut.n2 / ((cut.n1 + cut.n2) * cut.crossing_edges)
 
 
-def _induces_connected(g: Graph, members: np.ndarray) -> bool:
-    index = np.cumsum(members) - 1  # new label of each member vertex
-    eu, ev = g.edge_array()
-    inside = members[eu] & members[ev]
-    sub = Graph(int(index[-1]) + 1, zip(index[eu[inside]], index[ev[inside]]))
-    return is_connected(sub)
-
-
 def enumerate_bipartitions(g: Graph):
     """All cuts whose sides both induce connected subgraphs.
 
     Exponential in N; intended for the small graphs used by oracles and tests.
     Cuts come by increasing N1, and within one N1 in lexicographic order of
-    V1 (which always holds vertex 0).
+    V1 (which always holds vertex 0); the sides of one N1 are tested as a batch.
     """
     n = g.n_vertices
     for r in range(n - 1):
-        for rest in combinations(range(1, n), r):
-            side = np.zeros(n, dtype=bool)
-            side[[0, *rest]] = True
-            if _induces_connected(g, side) and _induces_connected(g, ~side):
-                yield Cut.of(g, side)
+        v1 = np.array([(0, *rest) for rest in combinations(range(1, n), r)], dtype=np.intp)
+        sides = np.zeros((len(v1), n), dtype=bool)
+        sides[np.arange(len(v1))[:, None], v1] = True
+        for side in sides[_induces_connected(g, sides) & _induces_connected(g, ~sides)]:
+            yield Cut.of(g, side)
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,40 @@ def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix)
     assert str(info.value).startswith(prefix)
 
 
+@pytest.mark.parametrize(
+    "where, key, value, prefix",
+    [
+        (("sim",), "dt", "fast", "sim.dt:"),
+        (("sim",), "t_end", [1.0], "sim.t_end:"),
+        (("sim",), "seed", "one", "sim.seed:"),
+        (("sim",), "seed", float("inf"), "sim.seed:"),
+        (("sim",), "init_amplitude", None, "sim.init_amplitude:"),
+        (("sim",), "smooth_epsilon", "tiny", "sim.smooth_epsilon:"),
+        (("output",), "decimation", "ten", "output.decimation:"),
+        (("output",), "directory", 3, "output.directory:"),
+        (("gains",), "c", "big", "gains.c:"),
+        (("gains",), "cd", None, "gains.cd:"),
+        (("system", "switch_terms", 0), "coordinate", "first", "system.switch_terms[0].coordinate:"),
+        (("layers", "diffusive"), "n", None, "layers.diffusive.n:"),
+        (("layers", "discontinuous"), "p", [0.4], "layers.discontinuous.p:"),
+        (("layers", "discontinuous"), "seed", float("inf"), "layers.discontinuous.seed:"),
+    ],
+)
+def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, prefix):
+    doc = json.loads(write_config(tmp_path / "base.json").read_text())
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        load_experiment_config(cfg)
+    assert str(info.value).startswith(prefix)
+    assert main(["thresholds", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+
 def test_thresholds_invalid_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

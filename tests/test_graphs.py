@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 import pwsync as ps
+from pwsync.cli import main
 from pwsync.graphs import graph_to_text
 
 
@@ -36,6 +40,59 @@ def test_out_of_range_endpoint_rejected():
 def test_empty_vertex_set_rejected():
     with pytest.raises(ValueError):
         ps.Graph(0)
+
+
+def test_every_edge_form_gives_the_same_graph():
+    pairs = [(3, 1), (0, 2), (1, 0), (2, 4)]
+    forms = [
+        pairs,
+        pairs[::-1],
+        [(v, u) for u, v in pairs],
+        np.array(pairs),
+        np.array(pairs, dtype=np.int32)[::-1],
+        zip(*zip(*pairs)),
+        (pair for pair in pairs),
+    ]
+    graphs = [ps.Graph(5, edges) for edges in forms]
+    for g in graphs:
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+        assert g.edges == ((0, 1), (0, 2), (1, 3), (2, 4))
+        assert all(type(x) is int for edge in g.edges for x in edge)
+        u, v = g.edge_array()
+        assert u.dtype == v.dtype == np.int64
+        assert not u.flags.writeable and not v.flags.writeable
+        assert np.all(u < v) and np.all(np.diff(u * 5 + v) > 0)
+    assert graphs[0] != ps.Graph(6, pairs)
+    assert graphs[0] != ps.Graph(5, pairs[:3])
+    assert graphs[0] != pairs
+
+
+def test_graph_is_immutable_and_survives_pickle_and_copy():
+    g = ps.path_graph(3)
+    with pytest.raises(AttributeError):
+        g.n_vertices = 4
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert twin == g and hash(twin) == hash(g)
+        assert not any(arr.flags.writeable for arr in twin.edge_array())
+
+
+@pytest.mark.parametrize(
+    "edges, match",
+    [
+        ([(0, 1), (2, 2), (0, 9)], r"^self-loop \(2,2\)"),
+        ([(0, 1), (0, 9), (2, 2)], r"^edge \(0,9\) out of range"),
+        ([(0, 1), (-1, 2)], r"^edge \(-1,2\) out of range"),
+        ([(7, 7)], r"^self-loop \(7,7\)"),
+        (np.array([[4, 3], [0, 1], [3, 4]]), "duplicate"),
+        ([(0, 1, 2)], "pairs"),
+    ],
+    ids=["self_loop_first", "range_first", "negative", "self_loop_out_of_range", "duplicate", "triple"],
+)
+def test_construction_errors_name_the_first_bad_edge(edges, match):
+    with pytest.raises(ValueError, match=match):
+        ps.Graph(5, edges)
 
 
 # ----------------------------------------------------------------------------
@@ -113,9 +170,47 @@ def test_edge_array_is_built_once_and_read_only():
     for arr in (u, v):
         with pytest.raises(ValueError):
             arr[0] = 0
-    # The cached arrays are not part of a graph's value.
+    # A graph's value is its vertex count and these arrays.
     twin = ps.Graph(10, g.edges)
     assert twin == g and hash(twin) == hash(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ps.complete_graph(2),
+        lambda: ps.complete_graph(6),
+        lambda: ps.star_graph(2),
+        lambda: ps.star_graph(6),
+        lambda: ps.path_graph(2),
+        lambda: ps.path_graph(6),
+        lambda: ps.ring_graph(2),
+        lambda: ps.ring_graph(3),
+        lambda: ps.ring_graph(7),
+        lambda: ps.nearest_neighbours_graph(9, 2),
+        lambda: ps.erdos_renyi_graph(12, 0.3, seed=5),
+        lambda: ps.remove_edges(ps.ring_graph(6), [(5, 0), (2, 3)]),
+    ],
+    ids=["K2", "K6", "star2", "star6", "path2", "path6", "ring2", "ring3", "ring7", "nn9_2", "ER12",
+         "ring6_minus_two"],
+)
+def test_generated_graphs_match_the_validating_constructor(make):
+    g = make()
+    u, v = g.edge_array()
+    assert u.dtype == v.dtype == np.int64
+    assert not u.flags.writeable and not v.flags.writeable
+    # Reversed input makes the constructor sort and check everything again.
+    assert g == ps.Graph(g.n_vertices, np.column_stack((v, u))[::-1])
+
+
+def test_graph_file_is_read_into_the_validated_form(tmp_path):
+    g = ps.erdos_renyi_graph(9, 0.5, seed=4)
+    path = tmp_path / "g.txt"
+    lines = graph_to_text(g).splitlines()
+    path.write_text("\n".join([lines[0], *lines[:0:-1], ""]))  # edges in reverse order
+    read = ps.read_graph_file(path)
+    assert read == g and read.edges == g.edges
+    assert not any(arr.flags.writeable for arr in read.edge_array())
 
 
 def test_edge_array_of_edgeless_graph():
@@ -145,21 +240,6 @@ def test_degrees_and_adjacency_match_edge_loops(g):
     assert g.degrees().dtype == g.adjacency().dtype == np.int64
 
 
-@pytest.mark.parametrize("g", [ps.Graph(3), ps.star_graph(7), ps.erdos_renyi_graph(10, 0.4, seed=3)])
-def test_neighbour_lists_match_edge_loop_and_are_built_once(g):
-    nbrs: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    cached = g.neighbour_lists()
-    assert cached == tuple(map(tuple, nbrs))
-    assert g.neighbour_lists() is cached
-    assert all(isinstance(row, tuple) for row in cached)
-    # The cached lists are not part of a graph's value.
-    twin = ps.Graph(g.n_vertices, g.edges)
-    assert twin == g and hash(twin) == hash(g)
-
-
 # ----------------------------------------------------------------------------
 # Connectivity and algebraic connectivity
 # ----------------------------------------------------------------------------
@@ -175,6 +255,69 @@ def test_two_isolated_vertices_not_connected():
 
 def test_ring30_is_connected():
     assert ps.is_connected(ps.ring_graph(30))
+
+
+@pytest.mark.parametrize(
+    "g, connected",
+    [
+        (ps.Graph(3), False),
+        (ps.Graph(4, ((0, 1), (1, 2))), False),  # vertex 3 isolated
+        (ps.Graph(4, ((1, 2), (2, 3))), False),  # vertex 0 isolated
+        (ps.Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))), False),
+        (ps.path_graph(40), True),
+        (ps.star_graph(9), True),
+    ],
+    ids=["edgeless", "isolated_last", "isolated_root", "two_triangles", "path40", "star9"],
+)
+def test_is_connected_small_cases(g, connected):
+    assert ps.is_connected(g) is connected
+
+
+def _union_find_component_count(n, edges):
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    return len({root(x) for x in range(n)})
+
+
+def test_is_connected_matches_union_find():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(1, 40))
+        # Vertices join one of a few blocks; each vertex is linked to an
+        # earlier vertex of its block or starts a new piece, and random
+        # extra pairs may merge pieces. Edgeless graphs come from all-False.
+        block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        edges = set()
+        for v in range(1, n):
+            earlier = [w for w in range(v) if block[w] == block[v]]
+            if earlier and draw(st.booleans()):
+                edges.add((draw(st.sampled_from(earlier)), v))
+        if n > 1:
+            pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            edges |= {(min(e), max(e)) for e in draw(st.lists(pair, max_size=3)) if e[0] != e[1]}
+        return ps.Graph(n, edges)
+
+    seen_counts = set()
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+    @hyp.given(graphs())
+    def check(g):
+        count = _union_find_component_count(g.n_vertices, g.edges)
+        seen_counts.add(min(count, 3))
+        assert ps.is_connected(g) is (count == 1)
+
+    check()
+    assert seen_counts == {1, 2, 3}
 
 
 def test_algebraic_connectivity_complete():
@@ -369,6 +512,25 @@ def test_graph_file_rejects_bad_header(tmp_path):
     path.write_text("three\n0 1\n")
     with pytest.raises(ValueError, match="vertex count"):
         ps.read_graph_file(path)
+
+
+def test_graph_file_rejects_bad_vertex_token(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("3\n0 1\n\n1 x\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:4: expected two integers"):
+        ps.read_graph_file(path)
+    assert main(["mindensity", "--graph", str(path)]) == 2
+    assert f"error: {path}:4: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["0", "-2"])
+def test_graph_file_rejects_empty_vertex_set(tmp_path, capsys, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n")
+    with pytest.raises(ValueError, match=f"bad\\.txt: graph needs at least one vertex, got N={header}"):
+        ps.read_graph_file(path)
+    assert main(["mindensity", "--graph", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_graph_file_rejects_empty(tmp_path):

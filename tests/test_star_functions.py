@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,51 @@ def test_enumerate_bipartitions_requires_connected_clusters():
     star4 = ps.star_graph(4)  # centre 0: only single leaves split off
     found = [tuple(c.side2()) for c in ps.enumerate_bipartitions(star4)]
     assert found == [(3,), (2,), (1,)]
+
+
+def _induces_connected_by_dfs(g, vertices) -> bool:
+    """Set-based depth-first search over the edges inside `vertices`."""
+    vertices = set(vertices)
+    nbrs = {v: set() for v in vertices}
+    for u, v in g.edges:
+        if u in vertices and v in vertices:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    stack = [min(vertices)]
+    reached = set(stack)
+    while stack:
+        for w in nbrs[stack.pop()] - reached:
+            reached.add(w)
+            stack.append(w)
+    return reached == vertices
+
+
+def test_enumerate_bipartitions_matches_per_side_search():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return ps.Graph(n, set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))))
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(graphs())
+    def check(g):
+        n = g.n_vertices
+        expected = [
+            (0, *rest)
+            for r in range(n - 1)
+            for rest in itertools.combinations(range(1, n), r)
+            if _induces_connected_by_dfs(g, (0, *rest))
+            and _induces_connected_by_dfs(g, set(range(n)) - {0, *rest})
+        ]
+        cuts = list(ps.enumerate_bipartitions(g))
+        assert [tuple(c.side1()) for c in cuts] == expected
+        assert all(c == ps.Cut.of(g, c.side_assignment) for c in cuts)
+
+    check()
 
 
 def test_max_min_a2_over_bipartitions_equals_inverse_density():
