@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .graphs import (
 )
 from .min_density import min_density_exact, min_density_heuristic
 from .presets import relay_certificate, relay_feedback_system
-from .simulate import SimConfig, simulate, write_run_csv, write_run_metadata
+from .simulate import SimConfig, SimulationRun, simulate, write_run_csv, write_run_metadata
 from .thresholds import ThresholdReport, compute_thresholds, min_density_auto, resilience_report
 
 __all__ = ["main", "ExperimentConfig", "load_experiment_config", "ConfigError"]
@@ -53,18 +53,17 @@ class ExperimentConfig:
     gamma_d: np.ndarray
     g_diffusive: Graph
     g_discontinuous: Graph
-    gains_auto: bool
-    c: float | None
+    c: float | None  # None: `gains: auto`
     cd: float | None
     dt: float
     t_end: float
     seed: int
-    init_amplitude: float
-    sign_mode: str
-    smooth_epsilon: float
-    out_dir: Path
     decimation: int
-    per_node_errors: bool
+    out_dir: Path
+    init_amplitude: float = 5.0
+    sign_mode: str = "exact"
+    smooth_epsilon: float = 1e-3
+    per_node_errors: bool = False
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -98,6 +97,12 @@ def _scalar(convert, value, path: str):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: expected {convert.__name__}, got {value!r}") from exc
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
 
 
 def _parse_system(doc: dict) -> tuple[PwsVectorField, SigmaQuadCertificate, np.ndarray, np.ndarray]:
@@ -175,11 +180,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("layers: diffusive and discontinuous layers must have the same N")
 
     gains = doc.get("gains", "auto")
-    gains_auto = False
     c = cd = None
-    if gains == "auto":
-        gains_auto = True
-    else:
+    if gains != "auto":
         gains = _expect_mapping(gains, "gains")
         if "c" not in gains or "cd" not in gains:
             raise ConfigError("gains: needs numeric 'c' and 'cd', or the string \"auto\"")
@@ -194,7 +196,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         gamma_d=gamma_d,
         g_diffusive=g_diff,
         g_discontinuous=g_disc,
-        gains_auto=gains_auto,
         c=c,
         cd=cd,
         dt=_scalar(float, sim.get("dt", 1e-3), "sim.dt"),
@@ -205,7 +206,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         smooth_epsilon=_scalar(float, sim.get("smooth_epsilon", 1e-3), "sim.smooth_epsilon"),
         out_dir=_scalar(Path, out.get("directory", "."), "output.directory"),
         decimation=_scalar(int, out.get("decimation", 10), "output.decimation"),
-        per_node_errors=_scalar(bool, out.get("per_node_errors", False), "output.per_node_errors"),
+        per_node_errors=_flag(out.get("per_node_errors", False), "output.per_node_errors"),
     )
 
 
@@ -223,8 +224,7 @@ def _thresholds(cfg: ExperimentConfig) -> ThresholdReport:
 
 def _resolve_gains(cfg: ExperimentConfig) -> tuple[float, float, ThresholdReport | None]:
     """Numeric gains from the document, or AUTO_GAIN_FACTOR times the thresholds."""
-    if not cfg.gains_auto:
-        assert cfg.c is not None and cfg.cd is not None
+    if cfg.c is not None:
         return cfg.c, cfg.cd, None
     report = _thresholds(cfg)
     if report.hypotheses.certificate_verified is False:
@@ -267,8 +267,8 @@ def format_threshold_report(report: ThresholdReport) -> str:
     return "\n".join(lines)
 
 
-def threshold_report_json(report: ThresholdReport) -> dict:
-    return {
+def threshold_report_json(report: ThresholdReport) -> str:
+    payload = {
         "c_star": report.c_star,
         "cd_star": report.cd_star,
         "lambda2": report.lambda2,
@@ -279,14 +279,9 @@ def threshold_report_json(report: ThresholdReport) -> dict:
         "mu2_lower_p_gamma": report.mu2_lower_p_gamma,
         "mu_inf_m": report.mu_inf_m,
         "mu_inf_lower_p_gamma_d": report.mu_inf_lower_p_gamma_d,
-        "hypotheses": {
-            "certificate_verified": report.hypotheses.certificate_verified,
-            "diffusive_connected": report.hypotheses.diffusive_connected,
-            "discontinuous_connected": report.hypotheses.discontinuous_connected,
-            "mu2_lower_p_gamma_positive": report.hypotheses.mu2_lower_p_gamma_positive,
-            "mu_inf_lower_p_gamma_d_positive": report.hypotheses.mu_inf_lower_p_gamma_d_positive,
-        },
+        "hypotheses": asdict(report.hypotheses),
     }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------------
@@ -324,7 +319,7 @@ def _cmd_thresholds(args) -> int:
     report = _thresholds(load_experiment_config(args.config))
     print(format_threshold_report(report))
     if args.json:
-        payload = json.dumps(threshold_report_json(report), indent=2, sort_keys=True) + "\n"
+        payload = threshold_report_json(report)
         if args.json == "-":
             sys.stdout.write(payload)
         else:
@@ -332,7 +327,7 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
-def _sim_config(cfg: ExperimentConfig, c: float, cd: float, *, store_trajectory: bool = True) -> SimConfig:
+def _sim_config(cfg: ExperimentConfig, c: float, cd: float) -> SimConfig:
     return SimConfig(
         node_field=cfg.field,
         graph_diffusive=cfg.g_diffusive,
@@ -348,8 +343,15 @@ def _sim_config(cfg: ExperimentConfig, c: float, cd: float, *, store_trajectory:
         sign_mode=cfg.sign_mode,
         smooth_epsilon=cfg.smooth_epsilon,
         decimation=cfg.decimation,
-        store_trajectory=store_trajectory,
     )
+
+
+def _write_run(cfg: ExperimentConfig, c: float, cd: float, stem: str) -> SimulationRun:
+    """Simulate at gains (c, cd) and write <stem>.csv and <stem>_meta.json to the output directory."""
+    run = simulate(_sim_config(cfg, c, cd))
+    write_run_csv(run, cfg.out_dir / f"{stem}.csv", per_node_errors=cfg.per_node_errors)
+    write_run_metadata(run, cfg.out_dir / f"{stem}_meta.json")
+    return run
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -360,7 +362,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "c", None) is not None or getattr(args, "cd", None) is not None:
         if args.c is None or args.cd is None:
             raise ConfigError("gains: override flags --c and --cd must be given together")
-        cfg.gains_auto = False
         cfg.c, cfg.cd = args.c, args.cd
     if getattr(args, "out", None):
         cfg.out_dir = Path(args.out)
@@ -371,21 +372,15 @@ def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
     c, cd, report = _resolve_gains(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    run = simulate(_sim_config(cfg, c, cd))
-    csv_path = cfg.out_dir / "run.csv"
-    write_run_csv(run, csv_path, per_node_errors=cfg.per_node_errors)
-    write_run_metadata(run, cfg.out_dir / "run_meta.json")
+    run = _write_run(cfg, c, cd, "run")
     if report is not None:
-        (cfg.out_dir / "thresholds.json").write_text(
-            json.dumps(threshold_report_json(report), indent=2, sort_keys=True) + "\n",
-            encoding="ascii",
-        )
+        (cfg.out_dir / "thresholds.json").write_text(threshold_report_json(report), encoding="ascii")
     status = (
         f"diverged (truncated) at step {run.divergence_step}" if run.diverged else "completed"
     )
     print(
         f"{status}: c={_fmt(c)} cd={_fmt(cd)} e_tot {_fmt(run.e_tot_series[0])} -> "
-        f"{_fmt(run.e_tot_series[-1])}; wrote {csv_path}"
+        f"{_fmt(run.e_tot_series[-1])}; wrote {cfg.out_dir / 'run.csv'}"
     )
     return 0
 
@@ -430,52 +425,38 @@ def _cmd_resilience(args) -> int:
 
 
 def _cmd_paper_demo(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
-
-    field = relay_feedback_system()
-    cert = relay_certificate()
-    n = 30
-    g_diff = generate_topology("ring", n)
-    g_disc = generate_topology("erdos_renyi", n, p=0.2, seed=seed)
-    write_graph_file(g_diff, out_dir / "graph_diffusive.txt")
-    write_graph_file(g_disc, out_dir / "graph_discontinuous.txt")
-
-    gamma = np.eye(3)
-    report = compute_thresholds(
-        cert, gamma, gamma, g_diff, g_disc, field=field, heuristic_seed=seed
+    seed, n = args.seed, 30
+    cfg = ExperimentConfig(
+        field=relay_feedback_system(),
+        cert=relay_certificate(),
+        gamma=np.eye(3),
+        gamma_d=np.eye(3),
+        g_diffusive=generate_topology("ring", n),
+        g_discontinuous=generate_topology("erdos_renyi", n, p=0.2, seed=seed),
+        c=None,
+        cd=None,
+        dt=args.dt,
+        t_end=args.t_end,
+        seed=seed,
+        decimation=args.decimation,
+        out_dir=Path(args.out),
     )
-    c_below, cd_below = 0.1, 0.001
-    c_above = AUTO_GAIN_FACTOR * report.c_star
-    cd_above = AUTO_GAIN_FACTOR * report.cd_star
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    write_graph_file(cfg.g_diffusive, cfg.out_dir / "graph_diffusive.txt")
+    write_graph_file(cfg.g_discontinuous, cfg.out_dir / "graph_discontinuous.txt")
 
-    runs = {}
-    for name, c, cd in (("below", c_below, cd_below), ("above", c_above, cd_above)):
-        sim_cfg = SimConfig(
-            node_field=field,
-            graph_diffusive=g_diff,
-            graph_discontinuous=g_disc,
-            c=c,
-            cd=cd,
-            gamma=gamma,
-            gamma_d=gamma,
-            dt=args.dt,
-            t_end=args.t_end,
-            init_seed=seed,
-            decimation=args.decimation,
-        )
-        run = simulate(sim_cfg)
-        write_run_csv(run, out_dir / f"{name}.csv")
-        write_run_metadata(run, out_dir / f"{name}_meta.json")
-        runs[name] = (c, cd, run)
+    c_above, cd_above, report = _resolve_gains(cfg)
+    runs = {
+        name: _write_run(cfg, c, cd, name)
+        for name, c, cd in (("below", 0.1, 0.001), ("above", c_above, cd_above))
+    }
 
     density_cut = report.density.sparsest_cut
     lines = [
         f"two-layer synchronization demo (seed {seed})",
         f"nodes: {n} relay feedback systems (3 states each)",
-        f"diffusive layer: ring, {g_diff.n_edges} edges; "
-        f"discontinuous layer: Erdos-Renyi p=0.2, {g_disc.n_edges} edges",
+        f"diffusive layer: ring, {cfg.g_diffusive.n_edges} edges; "
+        f"discontinuous layer: Erdos-Renyi p=0.2, {cfg.g_discontinuous.n_edges} edges",
         "",
         format_threshold_report(report),
         "",
@@ -483,20 +464,19 @@ def _cmd_paper_demo(args) -> int:
         f"b={density_cut.crossing_edges}",
         "",
     ]
-    for name in ("below", "above"):
-        c, cd, run = runs[name]
+    for name, run in runs.items():
         lines.append(
-            f"{name}-threshold run: c={_fmt(c)}, cd={_fmt(cd)}, "
+            f"{name}-threshold run: c={_fmt(run.config.c)}, cd={_fmt(run.config.cd)}, "
             f"e_tot {_fmt(run.e_tot_series[0])} -> {_fmt(run.e_tot_series[-1])}"
         )
-    converged = runs["above"][2].e_tot_series[-1] < runs["below"][2].e_tot_series[-1]
+    converged = runs["above"].e_tot_series[-1] < runs["below"].e_tot_series[-1]
     lines.append(
         "above-threshold run ends with the smaller error"
         if converged
         else "WARNING: above-threshold run did not end with the smaller error"
     )
     summary = "\n".join(lines) + "\n"
-    (out_dir / "summary.txt").write_text(summary, encoding="ascii")
+    (cfg.out_dir / "summary.txt").write_text(summary, encoding="ascii")
     sys.stdout.write(summary)
     return 0
 

@@ -69,6 +69,7 @@ class PwsVectorField:
             if not (0 <= term.coordinate < n):
                 raise ValueError(f"switch coordinate {term.coordinate} out of range for n={n}")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_a_t", a.T.copy())  # row-major A^T for the batched matmul
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "switch_terms", terms)
 
@@ -80,17 +81,14 @@ class PwsVectorField:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape != (self.dimension,):
             raise ValueError(f"state must have length {self.dimension}, got {x.shape}")
-        out = self.a @ x + self.d
-        for term in self.switch_terms:
-            out = out - term.gain * np.sign(x[term.coordinate])
-        return out
+        return self.evaluate_batch(x[None])[0]
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         """Vectorised evaluation over rows of an (m, n) state array."""
         states = np.asarray(states, dtype=np.float64)
-        out = states @ self.a.T + self.d
+        out = states @ self._a_t + self.d
         for term in self.switch_terms:
-            out = out - np.sign(states[:, term.coordinate])[:, None] * term.gain
+            out -= np.sign(states[:, term.coordinate])[:, None] * term.gain
         return out
 
     def switching_bound(self) -> np.ndarray:

@@ -25,9 +25,10 @@ the block computed past it are discarded.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,16 +114,16 @@ class SimConfig:
 
 @dataclass
 class SimulationRun:
-    """Per-step total error series plus a decimated state trajectory."""
+    """Per-step total error series plus a decimated state trajectory, and the config that ran."""
 
     times: np.ndarray
     e_tot_series: np.ndarray
     final_states: np.ndarray
+    config: SimConfig
     trajectory_times: np.ndarray | None = None
     trajectory: np.ndarray | None = None  # (frames, N, n)
     diverged: bool = False
     divergence_step: int | None = None  # first step with a non-finite e_tot
-    config_summary: dict = field(default_factory=dict)
 
 
 def _coupling_operator(config: SimConfig):
@@ -190,14 +191,11 @@ def simulate(config: SimConfig) -> SimulationRun:
     """
     x0 = config.initial()
     n_steps = int(round(config.t_end / config.dt))
-    field_ = config.node_field
     dt = config.dt
     decimation = config.decimation
 
+    drift = config.node_field.evaluate_batch
     u = _coupling_operator(config)
-    a_t = field_.a.T.copy()
-    d_vec = field_.d
-    switch = [(term.gain, term.coordinate) for term in field_.switch_terms]
 
     times = np.arange(n_steps + 1) * dt
     e_tot = np.empty(n_steps + 1)
@@ -216,10 +214,7 @@ def simulate(config: SimConfig) -> SimulationRun:
             states = buf[1 : stop - start + 1]
             x = buf[0]
             for x_next in states:
-                drift = x @ a_t + d_vec
-                for gain, coord in switch:
-                    drift -= np.sign(x[:, coord])[:, None] * gain
-                np.add(x, dt * (drift + u(x)), out=x_next)
+                np.add(x, dt * (drift(x) + u(x)), out=x_next)
                 x = x_next
             dev = states - states.mean(axis=1, keepdims=True)
             dev *= dev
@@ -246,9 +241,9 @@ def simulate(config: SimConfig) -> SimulationRun:
         times=times,
         e_tot_series=e_tot,
         final_states=buf[0].copy(),
+        config=copy.copy(config),
         diverged=divergence_step is not None,
         divergence_step=divergence_step,
-        config_summary=_config_summary(config),
     )
     if config.store_trajectory:
         run.trajectory_times = np.concatenate(frame_steps).astype(np.float64) * dt
@@ -258,25 +253,6 @@ def simulate(config: SimConfig) -> SimulationRun:
 
 def _graph_hash(g: Graph) -> str:
     return hashlib.sha256(graph_to_text(g).encode("ascii")).hexdigest()
-
-
-def _config_summary(config: SimConfig) -> dict:
-    return {
-        "n_nodes": config.n_nodes,
-        "state_dimension": config.node_field.dimension,
-        "c": config.c,
-        "cd": config.cd,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "init_seed": config.init_seed,
-        "init_amplitude": config.init_amplitude,
-        "sign_mode": config.sign_mode,
-        "smooth_epsilon": config.smooth_epsilon,
-        "decimation": config.decimation,
-        "graph_diffusive_sha256": _graph_hash(config.graph_diffusive),
-        "graph_discontinuous_sha256": _graph_hash(config.graph_discontinuous),
-        "chattering_band_note": "sliding reached up to a band of width O(cd*dt) under the exact sign",
-    }
 
 
 def _fmt(x: float) -> str:
@@ -296,8 +272,7 @@ def write_run_csv(run: SimulationRun, path, per_node_errors: bool = False) -> No
     if per_node_errors:
         header += "," + ",".join(f"e_node_{i}" for i in range(n_nodes))
     lines = [header]
-    dt = run.config_summary.get("dt", run.trajectory_times[1] if len(run.trajectory_times) > 1 else 1.0)
-    step_of_frame = np.rint(run.trajectory_times / dt).astype(int)
+    step_of_frame = np.rint(run.trajectory_times / run.config.dt).astype(int)
     for frame, k in enumerate(step_of_frame):
         row = [_fmt(run.times[k]), _fmt(run.e_tot_series[k])]
         if per_node_errors:
@@ -310,13 +285,29 @@ def write_run_csv(run: SimulationRun, path, per_node_errors: bool = False) -> No
 
 def write_run_metadata(run: SimulationRun, path) -> None:
     """Sidecar document describing the run (gains, seeds, step, graph hashes)."""
-    meta = dict(run.config_summary)
-    meta["diverged"] = run.diverged
+    config = run.config
+    meta = {
+        "n_nodes": config.n_nodes,
+        "state_dimension": config.node_field.dimension,
+        "c": config.c,
+        "cd": config.cd,
+        "dt": config.dt,
+        "t_end": config.t_end,
+        "init_seed": config.init_seed,
+        "init_amplitude": config.init_amplitude,
+        "sign_mode": config.sign_mode,
+        "smooth_epsilon": config.smooth_epsilon,
+        "decimation": config.decimation,
+        "graph_diffusive_sha256": _graph_hash(config.graph_diffusive),
+        "graph_discontinuous_sha256": _graph_hash(config.graph_discontinuous),
+        "chattering_band_note": "sliding reached up to a band of width O(cd*dt) under the exact sign",
+        "diverged": run.diverged,
+        "e_tot_initial": float(run.e_tot_series[0]),
+        "e_tot_final": float(run.e_tot_series[-1]),
+        "n_steps_recorded": int(run.times.shape[0] - 1),
+    }
     if run.diverged:
         meta["divergence_step"] = run.divergence_step
-    meta["e_tot_initial"] = float(run.e_tot_series[0])
-    meta["e_tot_final"] = float(run.e_tot_series[-1])
-    meta["n_steps_recorded"] = int(run.times.shape[0] - 1)
     with open(path, "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

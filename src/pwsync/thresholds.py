@@ -35,15 +35,18 @@ __all__ = [
 
 # Strictly-positive checks on the inner-coupling measures use this margin.
 POSITIVITY_TOLERANCE = 1e-12
+# State pairs drawn (with seed 0) when the certificate is spot-checked by sampling.
+VERIFY_SAMPLES = 10_000
 
 
-def min_density_auto(g: Graph, *, seed: int = 0, exact_cap: int = EXACT_VERTEX_CAP) -> MinDensityResult:
-    """Minimum density: exact enumeration up to exact_cap vertices, Kernighan-Lin beyond.
+def min_density_auto(g: Graph, *, seed: int = 0) -> MinDensityResult:
+    """Minimum density: exact enumeration up to EXACT_VERTEX_CAP vertices, Kernighan-Lin beyond.
 
-    The result's method names the solver that ran; only "exact" is certified.
+    The cap is read at call time. The result's method names the solver that
+    ran; only "exact" is certified.
     """
-    if g.n_vertices <= exact_cap:
-        return min_density_exact(g, max_vertices=exact_cap)
+    if g.n_vertices <= EXACT_VERTEX_CAP:
+        return min_density_exact(g, max_vertices=EXACT_VERTEX_CAP)
     return min_density_heuristic(g, seed=seed)
 
 
@@ -133,16 +136,13 @@ def compute_thresholds(
     g_discontinuous: Graph,
     *,
     field: PwsVectorField | None = None,
-    verify_samples: int = 10_000,
-    verify_seed: int = 0,
-    exact_cap: int = EXACT_VERTEX_CAP,
     heuristic_seed: int = 0,
 ) -> ThresholdReport:
     """Evaluate both critical gains for a certified system on two layer graphs.
 
     Violated hypotheses raise ValueError naming the failed clause. When the
-    node field is supplied, the certificate is additionally spot-checked by
-    sampling (recorded in the hypothesis record, never raising: a sampled
+    node field is supplied, the certificate is additionally spot-checked on
+    VERIFY_SAMPLES sampled pairs (recorded in the hypothesis record, never raising: a sampled
     check can only falsify). The minimum density comes from min_density_auto
     and is kept whole in the report's density field.
     """
@@ -162,11 +162,11 @@ def compute_thresholds(
     mu_inf_m, mil = _discontinuous_measures(cert, gamma_d)
 
     lambda2 = algebraic_connectivity(g_diffusive)
-    density = min_density_auto(g_discontinuous, seed=heuristic_seed, exact_cap=exact_cap)
+    density = min_density_auto(g_discontinuous, seed=heuristic_seed)
 
     verified: bool | None = None
     if field is not None:
-        verified = verify_sigma_quad(field, cert, n_samples=verify_samples, seed=verify_seed).holds
+        verified = verify_sigma_quad(field, cert, n_samples=VERIFY_SAMPLES, seed=0).holds
 
     mu2_q = mu2(cert.q)
     c_star, cd_star = critical_gains(mu2_q, lambda2, m2l, mu_inf_m, density.delta, mil)
@@ -209,7 +209,6 @@ def resilience_report(
     gamma_d: np.ndarray,
     *,
     labels: list[str] | None = None,
-    exact_cap: int = EXACT_VERTEX_CAP,
     heuristic_seed: int = 0,
 ) -> list[ScenarioResult]:
     """Recompute (delta, cd*) for each edge-removal scenario on the layer graph.
@@ -228,7 +227,7 @@ def resilience_report(
             g = remove_edges(base, removed)
             if not is_connected(g):
                 raise ValueError("removal disconnects the graph")
-            density = min_density_auto(g, seed=heuristic_seed, exact_cap=exact_cap)
+            density = min_density_auto(g, seed=heuristic_seed)
         except ValueError as exc:
             results.append(ScenarioResult(label, removed, None, None, None, str(exc)))
             continue

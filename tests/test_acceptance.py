@@ -6,6 +6,7 @@ conftest.py.
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -244,6 +245,17 @@ def test_criterion_10_paper_demo_determinism(tmp_path):
     assert "below.csv" in names and "above.csv" in names
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    # and they are the pinned seed-7 bytes
+    digests = {name: hashlib.sha256((first / name).read_bytes()).hexdigest() for name in names}
+    assert digests == {
+        "summary.txt": "99c4785d3843493315be870e34519ab78a7bdccde9467dd1a9766af6c0617cf3",
+        "above.csv": "d94eecfb5a631315a7be2c4a6e496acc50c75f0334ad305480fb0da5924f529a",
+        "below.csv": "f876b92941e1bff3bb9538196b7234068cfe19e3c457ab607116c014bbde5c65",
+        "above_meta.json": "5ab352d10883e4106e9cdef8020a6e384e832a04b66b53037002bc34535e849f",
+        "below_meta.json": "810d730129fda1d197cf79d02622d991f380e5fcaaa891ae88e8f87387d5a2b4",
+        "graph_diffusive.txt": "467c64263a7f887cd80fc78b191000b1af864061bc98b9f265b44d3c3a01fd7a",
+        "graph_discontinuous.txt": "4d4754d09a87fdb280967638adf6a82e18607d9b8b1566242080772d35618fa7",
+    }
     # qualitative reproduction: the above-threshold run ends closer to sync
     import json
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -193,6 +194,8 @@ def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix)
         (("layers", "diffusive"), "n", None, "layers.diffusive.n:"),
         (("layers", "discontinuous"), "p", [0.4], "layers.discontinuous.p:"),
         (("layers", "discontinuous"), "seed", float("inf"), "layers.discontinuous.seed:"),
+        (("output",), "per_node_errors", "false", "output.per_node_errors:"),
+        (("output",), "per_node_errors", 1, "output.per_node_errors:"),
     ],
 )
 def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, prefix):
@@ -247,6 +250,29 @@ def test_simulate_auto_gains_write_threshold_sidecar(tmp_path, capsys):
     meta = json.loads((tmp_path / "auto_out" / "run_meta.json").read_text())
     assert meta["c"] == pytest.approx(1.05 * report["c_star"], rel=1e-12)
     assert meta["cd"] == pytest.approx(1.05 * report["cd_star"], rel=1e-12)
+
+
+def test_auto_gain_outputs_keep_their_bytes(tmp_path, capsys):
+    # SHA-256 of a small auto-gain run with per-node columns, and of its threshold report
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        gains="auto",
+        sim={"dt": 1e-4, "t_end": 0.05, "seed": 1},
+        output={"decimation": 50, "per_node_errors": True},
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["thresholds", "--config", str(cfg), "--json", str(tmp_path / "report.json")]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out / "run.csv", out / "run_meta.json", out / "thresholds.json")
+    }
+    assert digests == {
+        "run.csv": "94d217424a64cb820070a0a74fdb284af709f29344e241fb76029cab2ec4e6b1",
+        "run_meta.json": "f307200a119e3315178e65cfc322f9909c15acf9761e40b1b3beb97051b68250",
+        "thresholds.json": "afcc214466272d3c0e529ef40196ddb7cac1fcfbeb0575813d59f6cff18b7896",
+    }
+    assert (tmp_path / "report.json").read_bytes() == (out / "thresholds.json").read_bytes()
 
 
 def test_simulate_names_divergence_step(tmp_path, capsys):
@@ -346,6 +372,15 @@ def test_paper_demo_writes_artifacts(tmp_path, capsys):
     assert "above-threshold run" in summary
     gd = ps.read_graph_file(out / "graph_discontinuous.txt")
     assert gd.n_vertices == 30 and ps.is_connected(gd)
+
+
+def test_paper_demo_refuses_a_falsified_certificate(tmp_path, monkeypatch, capsys):
+    # no jump budget: sampling pairs across the relay's switching plane falsifies it
+    no_jumps = ps.certificate_from_decomposition(ps.relay_feedback_system(), m=np.zeros((3, 3)))
+    monkeypatch.setattr(pwsync.cli, "relay_certificate", lambda: no_jumps)
+    assert main(["paper-demo", "--t-end", "0.01", "--out", str(tmp_path / "demo")]) == 2
+    assert "falsified" in capsys.readouterr().err
+    assert not (tmp_path / "demo" / "above.csv").exists()
 
 
 def test_paper_demo_solves_delta_once(tmp_path, monkeypatch, capsys):

@@ -317,7 +317,8 @@ def _per_step_reference(config: ps.SimConfig) -> ps.SimulationRun:
                 frames.append(x.copy())
                 frame_idx.append(k)
     run = ps.SimulationRun(
-        times=times[: last + 1], e_tot_series=e_tot[: last + 1], final_states=x, diverged=diverged
+        times=times[: last + 1], e_tot_series=e_tot[: last + 1], final_states=x, config=config,
+        diverged=diverged,
     )
     if config.store_trajectory:
         run.trajectory_times = np.asarray(frame_idx, dtype=np.float64) * config.dt

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pwsync as ps
+import pwsync.thresholds
 from conftest import random_connected_graph
 
 
@@ -26,7 +27,7 @@ def test_gains_reproduce_published_relay_values(relay_cert):
     assert cd_star == pytest.approx(3.102, abs=2e-3)
 
 
-def test_report_on_actual_ring30_layer(relay, relay_cert):
+def test_report_on_actual_ring30_layer(relay, relay_cert, monkeypatch):
     g_diff = ps.ring_graph(30)
     g_disc = ps.erdos_renyi_graph(30, 0.2, seed=7)
     report = ps.compute_thresholds(
@@ -46,9 +47,9 @@ def test_report_on_actual_ring30_layer(relay, relay_cert):
     assert report.hypotheses.certificate_verified is True
     assert report.hypotheses.all_ok()
     # one vertex above the cap: the same heuristic report
+    monkeypatch.setattr(pwsync.thresholds, "EXACT_VERTEX_CAP", 29)
     assert report == ps.compute_thresholds(
-        relay_cert, np.eye(3), np.eye(3), g_diff, g_disc, field=relay, heuristic_seed=7,
-        exact_cap=29,
+        relay_cert, np.eye(3), np.eye(3), g_diff, g_disc, field=relay, heuristic_seed=7
     )
 
 
@@ -66,7 +67,7 @@ def test_nonpositive_mu2_q_allows_any_positive_gain():
     assert report.c_star <= 0.0
 
 
-def test_report_recomputes_bit_for_bit(relay_cert):
+def test_report_recomputes_bit_for_bit(relay_cert, monkeypatch):
     g_diff, g_disc = ps.ring_graph(8), ps.erdos_renyi_graph(8, 0.4, seed=1)
     report = ps.compute_thresholds(relay_cert, np.eye(3), np.eye(3), g_diff, g_disc)
     c_star, cd_star = ps.critical_gains(
@@ -82,9 +83,8 @@ def test_report_recomputes_bit_for_bit(relay_cert):
     assert report.delta_method == "exact"
     assert report.delta_certified
     # a graph exactly at the cap is still enumerated exactly
-    assert report == ps.compute_thresholds(
-        relay_cert, np.eye(3), np.eye(3), g_diff, g_disc, exact_cap=8
-    )
+    monkeypatch.setattr(pwsync.thresholds, "EXACT_VERTEX_CAP", 8)
+    assert report == ps.compute_thresholds(relay_cert, np.eye(3), np.eye(3), g_diff, g_disc)
 
 
 def test_adding_discontinuous_edges_never_raises_cd_star(relay_cert):
