@@ -157,16 +157,144 @@ def _induces_connected(g: Graph, sides: np.ndarray) -> np.ndarray:
     return (seen.reshape(sides.shape) == sides).all(axis=1)
 
 
-def algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest Laplacian eigenvalue (dense symmetric eigensolver).
+DENSE_LAMBDA2_CAP = 500  # largest N whose lambda2 comes from every eigenvalue of the dense L
+_LANCZOS_STEPS = 300  # Lanczos step budget above the cap, whatever N
+_LANCZOS_CHECK = 10  # steps between convergence checks (one tridiagonal eigh each)
+_CHOLESKY_PANEL = 128  # columns per panel of the blocked Cholesky
 
-    Positive iff the graph is connected (zero up to eigensolver noise when it
-    is not).
+
+def algebraic_connectivity(g: Graph) -> float:
+    """Second-smallest Laplacian eigenvalue lambda2; positive iff g is connected.
+
+    Up to DENSE_LAMBDA2_CAP vertices (read at call time) it is the second of
+    all eigenvalues of the dense Laplacian (`numpy.linalg.eigvalsh`). Above
+    the cap lambda2 is estimated on the edge list and the estimate is proved;
+    if either step fails, the dense path runs instead.
+
+    Estimate. `_lanczos_lambda2` returns the smallest Ritz value theta of L
+    on the complement of the ones vector. Its Ritz vector lies in that
+    complement, so theta >= lambda2 up to rounding.
+
+    Proof. L + 11^T has the eigenvalue N on the ones vector and lambda2..lambdaN
+    on its complement, and lambdaN <= N for a simple graph, so its least
+    eigenvalue is lambda2. Let s = theta - 1e-9*max(1, theta) and
+    A = L + 11^T - sI, whose least eigenvalue is lambda2 - s. Its stored form
+    A^ rounds the diagonal deg + 1 - s once, so ||A^ - A||_2 <= u*tr(A^)/(1 - u),
+    u = 2^-53, as long as that diagonal is positive (else the factorisation
+    fails). If the Cholesky factorisation of A^ completes in floating point,
+    its factor R satisfies R R^T = A^ + dA with |dA| <= gamma_{N+2} |R||R^T|,
+    gamma_k = k*u/(1 - k*u) (Demmel 1989; Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3, with one rounding more for a division
+    done as a multiplication by the reciprocal). Then
+    ||dA||_2 <= gamma_{N+2} ||R||_F^2 and ||R||_F^2 = tr(A^ + dA), so
+    ||dA||_2 <= gamma_{N+2} tr(A^)/(1 - gamma_{N+2}). As R R^T is positive
+    semidefinite, lambda2 - s >= -eps with eps = 1.01*gamma_{N+3}*tr(A^), the
+    factor 1.01 covering the 1/(1 - gamma) terms and the rounding of eps
+    itself. So lambda2 lies in [s - eps, theta]; on ER(1000, 8/999) layers
+    eps is about 0.9e-9 and the bracket about 2e-9 wide.
+
+    The value returned is theta, not s - eps: theta agrees with `eigvalsh` to
+    rounding (about 1e-14 at N = 1000), while s - eps is 2e-9 below it.
     """
     if g.n_vertices < 2:
         raise ValueError("algebraic connectivity needs at least two vertices")
-    w = np.linalg.eigvalsh(laplacian(g).astype(np.float64))
-    return float(w[1])
+    if g.n_vertices > DENSE_LAMBDA2_CAP:
+        theta = _lanczos_lambda2(g)
+        if theta is not None and _lambda2_lower_bound(g, theta - 1e-9 * max(1.0, theta)) is not None:
+            return theta
+    return float(np.linalg.eigvalsh(laplacian(g).astype(np.float64))[1])
+
+
+def _lanczos_lambda2(g: Graph) -> float | None:
+    """Smallest Ritz value of L on the complement of the ones vector; None if not converged.
+
+    Lanczos (Lanczos 1950; Paige 1972) on the edge-list product
+    deg*x - A*x, from a fixed-seed start with the ones vector deflated. Each
+    step is reorthogonalised in full, twice, against the basis and the ones
+    vector. Every _LANCZOS_CHECK steps the tridiagonal matrix T_j is
+    diagonalised, and its least eigenvalue theta is accepted once the Ritz
+    residual ||L y - theta y|| = |beta_j s_{j,1}| is at most 1e-13*2*d_max,
+    where 2*d_max >= ||L||_2. A beta_j that small means the basis spans an
+    invariant subspace, so the check runs then too; the next vector would be
+    rounding noise. The budget is _LANCZOS_STEPS steps, or the N - 1
+    dimensions of the complement.
+    """
+    n = g.n_vertices
+    u, v = g.edge_array()
+    deg = g.degrees().astype(np.float64)
+    tol = 1e-13 * 2.0 * deg.max()
+    m = min(_LANCZOS_STEPS, n - 1)
+    basis = np.empty((m, n))
+    alpha, beta = np.zeros(m), np.empty(m)
+    q = np.random.default_rng(0).standard_normal(n)
+    q -= q.mean()
+    basis[0] = q / np.linalg.norm(q)
+    for j in range(m):
+        q, done = basis[j], basis[: j + 1]
+        w = deg * q - np.bincount(u, q[v], minlength=n) - np.bincount(v, q[u], minlength=n)
+        for _ in range(2):
+            h = done @ w
+            w -= h @ done
+            w -= w.mean()
+            alpha[j] += h[j]
+        beta[j] = np.linalg.norm(w)
+        if beta[j] <= tol or (j + 1) % _LANCZOS_CHECK == 0 or j + 1 == m:
+            t = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            ritz, vecs = np.linalg.eigh(t)
+            if abs(beta[j] * vecs[-1, 0]) <= tol:
+                return float(ritz[0])
+        if j + 1 < m:
+            basis[j + 1] = w / beta[j]
+    return None
+
+
+def _lambda2_lower_bound(g: Graph, s: float) -> float | None:
+    """s - eps if the Cholesky factorisation of L + 11^T - sI completes, else None.
+
+    A completed factorisation proves lambda2 >= s - eps; see
+    `algebraic_connectivity` for the argument and eps.
+    """
+    n = g.n_vertices
+    u, v = g.edge_array()
+    a = np.ones((n, n))  # L + 11^T is 0 on edges and 1 off them, deg + 1 on the diagonal
+    a[u, v] = a[v, u] = 0.0
+    a.flat[:: n + 1] = (g.degrees() + 1.0) - s
+    trace = float(a.trace())
+    if not _cholesky_in_place(a):
+        return None
+    k_u = (n + 3) * np.finfo(np.float64).eps / 2.0
+    return s - 1.01 * k_u / (1.0 - k_u) * trace
+
+
+
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Overwrite the lower triangle of symmetric `a` with its Cholesky factor; False if not positive definite.
+
+    Left-looking, in panels of _CHOLESKY_PANEL columns: a panel's update by
+    the columns before it is one matmul, its diagonal block is factored by
+    `numpy.linalg.cholesky`, and the rows below are solved against that
+    factor with `numpy.linalg.solve`. The solve is given the factor with its
+    index order reversed, which is upper triangular, so LU with partial
+    pivoting swaps no rows, its multipliers are zero, and it reduces to
+    substitution.
+    Every entry is therefore the Cholesky recurrence with its inner product
+    summed in another order, as Higham's Thm 10.3 allows. Only one panel's
+    temporaries are allocated besides `a`; the strict upper triangle is left
+    as it was, apart from the diagonal blocks.
+    """
+    n = len(a)
+    for j0 in range(0, n, _CHOLESKY_PANEL):
+        j1 = min(j0 + _CHOLESKY_PANEL, n)
+        if j0:
+            a[j0:, j0:j1] -= a[j0:, :j0] @ a[j0:j1, :j0].T
+        try:
+            l11 = np.linalg.cholesky(a[j0:j1, j0:j1])
+        except np.linalg.LinAlgError:
+            return False
+        a[j0:j1, j0:j1] = l11
+        if j1 < n:
+            a[j1:, j0:j1] = np.linalg.solve(l11[::-1, ::-1], a[j1:, j0:j1].T[::-1])[::-1].T
+    return True
 
 
 # ----------------------------------------------------------------------------
@@ -220,18 +348,22 @@ def nearest_neighbours_graph(n: int, l: int) -> Graph:
 def erdos_renyi_graph(n: int, p: float, seed: int | None = None, max_retries: int = 1000) -> Graph:
     """Connected G(n, p) sample.
 
-    Each of the n(n-1)/2 vertex pairs is drawn independently with probability
-    p; the whole draw is repeated until the result is connected. Raises
+    Each of the n(n-1)/2 vertex pairs (i, j), i < j, taken in row-major
+    order, is drawn independently with probability p; the whole draw is
+    repeated until the result is connected. Only the indices of the kept
+    pairs are turned into endpoints, so no array of all pairs is built. Raises
     RuntimeError once the retry budget is exhausted (p too small for n).
     """
     _check_n(n)
     if not (0.0 < p < 1.0):
         raise ValueError(f"edge probability must satisfy 0 < p < 1, got {p}")
     rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(n, 1)
+    rows = np.arange(n)
+    row_start = rows * (2 * n - rows - 1) // 2  # flat index of pair (i, i + 1) in row-major order
     for _ in range(max_retries):
-        keep = rng.random(iu.size) < p
-        g = Graph._of_sorted(n, iu[keep], iv[keep])
+        k = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+        i = np.searchsorted(row_start, k, side="right") - 1
+        g = Graph._of_sorted(n, i, k - row_start[i] + i + 1)
         if is_connected(g):
             return g
     raise RuntimeError(f"no connected Erdos-Renyi draw with n={n}, p={p} in {max_retries} retries")

@@ -264,14 +264,13 @@ def _kl_refine(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return sides
 
 
-def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator, adj=None) -> np.ndarray:
+def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator, adj: list[list[int]]) -> np.ndarray:
     """Connected side of size k grown from a random root (random frontier order).
 
     g must be connected and k < N, so the frontier never empties before k
-    vertices are taken. `adj` lists each vertex's neighbours in ascending
-    order, which is also their edge order; it is built from g when not given.
+    vertices are taken. `adj` lists each vertex's neighbours of g in
+    ascending order, which is also their edge order.
     """
-    adj = [np.flatnonzero(row).tolist() for row in g.adjacency()] if adj is None else adj
     root = int(rng.integers(g.n_vertices))
     side = np.zeros(g.n_vertices, dtype=bool)
     side[root] = True

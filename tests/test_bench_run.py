@@ -1,6 +1,7 @@
 """The benchmark drives pwsync through its public and module-level names
 (`pwsync.cli.simulate`, `write_run_csv`, paper-demo's outputs); one untimed
-flagship round must still finish with every output check passing."""
+flagship round and one untimed large_sparse round must still finish with
+every output check passing."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_flagship_workload_runs_and_checks():
+def _run_one_round(workload):
     result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "flagship", "--seconds", "0", "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -23,3 +24,13 @@ def test_flagship_workload_runs_and_checks():
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, result.stderr
+
+
+def test_flagship_workload_runs_and_checks():
+    _run_one_round("flagship")
+
+
+def test_large_sparse_workload_runs_and_checks():
+    # The only workload whose layers (N = 1000) take the Lanczos lambda2 path,
+    # checked against networkx's spectrum.
+    _run_one_round("large_sparse")

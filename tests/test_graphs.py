@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pwsync as ps
+from pwsync import graphs
 from pwsync.cli import main
 from pwsync.graphs import graph_to_text
 
@@ -357,6 +358,91 @@ def test_algebraic_connectivity_needs_two_vertices():
         ps.algebraic_connectivity(ps.Graph(1))
 
 
+def _dense_lambda2(g):
+    """Reference: the second of all eigenvalues of the dense Laplacian."""
+    return float(np.linalg.eigvalsh(ps.laplacian(g).astype(np.float64))[1])
+
+
+def test_lambda2_above_the_cap_matches_eigvalsh(monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    monkeypatch.setattr(graphs, "DENSE_LAMBDA2_CAP", 1)
+
+    @st.composite
+    def connected_graphs(draw):
+        n = draw(st.integers(2, 60))
+        # A random spanning tree keeps the graph connected; extra pairs add cycles.
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges |= {(min(e), max(e)) for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]}
+        return ps.Graph(n, edges)
+
+    proved = []
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(connected_graphs())
+    def check(g):
+        expected = _dense_lambda2(g)
+        assert abs(ps.algebraic_connectivity(g) - expected) <= 1e-10 * max(1.0, expected)
+        theta = graphs._lanczos_lambda2(g)
+        if theta is not None:
+            lower = graphs._lambda2_lower_bound(g, theta - 1e-9 * max(1.0, theta))
+            if lower is not None:
+                proved.append(g.n_vertices)
+                assert lower <= expected
+
+    check()
+    assert len(proved) >= 60 and max(proved) > 30
+
+
+@pytest.mark.parametrize(
+    "g",
+    [ps.erdos_renyi_graph(120, 0.05, seed=3), ps.nearest_neighbours_graph(90, 3), ps.star_graph(70),
+     ps.complete_graph(40), ps.ring_graph(50)],
+    ids=["ER120", "circulant90", "star70", "complete40", "ring50"],
+)
+def test_cholesky_proof_accepts_below_and_rejects_above_theta(g):
+    theta = graphs._lanczos_lambda2(g)
+    assert theta is not None
+    kappa = 1e-9 * max(1.0, theta)
+    lower = graphs._lambda2_lower_bound(g, theta - kappa)
+    assert lower is not None and theta - 2 * kappa < lower <= theta - kappa <= _dense_lambda2(g)
+    assert graphs._lambda2_lower_bound(g, theta + 1e-6 * max(1.0, theta)) is None
+
+
+def test_cholesky_in_place_matches_numpy_across_panels():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((300, 300))
+    spd = x @ x.T + 300 * np.eye(300)
+    a = spd.copy()
+    assert graphs._cholesky_in_place(a)
+    assert np.allclose(np.tril(a), np.linalg.cholesky(spd), rtol=0, atol=1e-12)
+    indefinite = spd - 2 * np.linalg.eigvalsh(spd)[0] * np.eye(300)
+    assert not graphs._cholesky_in_place(indefinite)
+
+
+def test_lambda2_above_the_cap_is_the_same_on_every_call():
+    g = ps.erdos_renyi_graph(800, 8 / 799, seed=5)
+    assert graphs._lanczos_lambda2(g) is not None
+    first = ps.algebraic_connectivity(g)
+    assert first == ps.algebraic_connectivity(ps.Graph(g.n_vertices, g.edges))
+    assert first == graphs._lanczos_lambda2(g)
+
+
+@pytest.mark.parametrize("g", [ps.ring_graph(1000), ps.path_graph(600)], ids=["ring1000", "path600"])
+def test_lambda2_falls_back_to_dense_when_lanczos_does_not_converge(g):
+    assert graphs._lanczos_lambda2(g) is None
+    assert ps.algebraic_connectivity(g) == _dense_lambda2(g)
+
+
+def test_lambda2_of_a_disconnected_graph_above_the_cap_is_zero():
+    half = ps.erdos_renyi_graph(300, 0.03, seed=2)
+    u, v = half.edge_array()
+    g = ps.Graph(600, np.column_stack((np.concatenate((u, u + 300)), np.concatenate((v, v + 300)))))
+    assert g.n_vertices > graphs.DENSE_LAMBDA2_CAP and not ps.is_connected(g)
+    assert abs(ps.algebraic_connectivity(g)) <= 1e-9
+
+
 # ----------------------------------------------------------------------------
 # Generators
 # ----------------------------------------------------------------------------
@@ -433,6 +519,31 @@ def test_erdos_renyi_pair_list_draw_with_retries():
     assert _pair_list_erdos_renyi(12, 0.15, 1, 3)[0] is None
     with pytest.raises(RuntimeError, match="retries"):
         ps.erdos_renyi_graph(12, 0.15, seed=1, max_retries=3)
+
+
+def _triu_erdos_renyi(n, p, seed, max_retries=1000):
+    """Reference draw over np.triu_indices, the whole pair list; also returns the retry count."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, 1)
+    for attempt in range(max_retries):
+        keep = rng.random(iu.size) < p
+        g = ps.Graph(n, np.column_stack((iu[keep], iv[keep])))
+        if ps.is_connected(g):
+            return g, attempt
+    return None, max_retries
+
+
+def test_erdos_renyi_matches_triu_indices_draw_over_a_grid():
+    retried = 0
+    for n in (2, 3, 7, 30, 101, 250):
+        for p in (0.05, 0.3, 0.9):
+            for seed in (0, 1, 7):
+                expected, retries = _triu_erdos_renyi(n, p, seed)
+                if expected is None:
+                    continue
+                assert ps.erdos_renyi_graph(n, p, seed=seed) == expected, (n, p, seed)
+                retried += retries > 0
+    assert retried >= 1
 
 
 def test_erdos_renyi_rejects_bad_probability():

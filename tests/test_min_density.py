@@ -294,6 +294,15 @@ def _kl_refine_single(adj, side):
             side[u], side[v] = False, True
 
 
+def _neighbour_lists(g):
+    """Each vertex's neighbours in ascending order, built from the edge pairs."""
+    nbrs = [[] for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(row) for row in nbrs]
+
+
 def test_batched_refinement_equals_single_start_reference():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -317,9 +326,10 @@ def test_batched_refinement_equals_single_start_reference():
     def check(g, restarts, seed):
         rng = np.random.default_rng(seed)
         adj = g.adjacency()
+        nbrs = _neighbour_lists(g)
         n = g.n_vertices
         for k in range(1, n // 2 + 1):
-            starts = np.array([min_density._bfs_grown_side(g, k, rng) if r % 2 else
+            starts = np.array([min_density._bfs_grown_side(g, k, rng, nbrs) if r % 2 else
                                min_density._uniform_side(n, k, rng) for r in range(restarts)])
             batched = min_density._kl_refine(adj, starts)
             for start, got in zip(starts, batched):
@@ -336,9 +346,10 @@ def test_batched_refinement_equals_single_start_reference():
 )
 def test_bfs_grown_side_is_connected_with_exactly_k_vertices(g):
     rng = np.random.default_rng(0)
+    nbrs = _neighbour_lists(g)
     for k in range(1, g.n_vertices // 2 + 1):
         for _ in range(8):
-            side = min_density._bfs_grown_side(g, k, rng)
+            side = min_density._bfs_grown_side(g, k, rng, nbrs)
             assert side.dtype == bool and int(side.sum()) == k
             inside = [(u, v) for u, v in g.edges if side[u] and side[v]]
             label = {int(v): i for i, v in enumerate(np.flatnonzero(side))}
