@@ -202,7 +202,12 @@ def algebraic_connectivity(g: Graph) -> float:
         theta = _lanczos_lambda2(g)
         if theta is not None and _lambda2_lower_bound(g, theta - 1e-9 * max(1.0, theta)) is not None:
             return theta
-    return float(np.linalg.eigvalsh(laplacian(g).astype(np.float64))[1])
+    n = g.n_vertices
+    u, v = g.edge_array()
+    lap = np.zeros((n, n))  # the float64 L = D - A, written from the edge list
+    lap[u, v] = lap[v, u] = -1.0
+    lap.flat[:: n + 1] = g.degrees()
+    return float(np.linalg.eigvalsh(lap)[1])
 
 
 def _lanczos_lambda2(g: Graph) -> float | None:

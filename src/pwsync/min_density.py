@@ -8,12 +8,14 @@ where a cut splits the vertices into nonempty sides of sizes N1, N2 and b
 counts the crossing edges. It is computed exactly by enumerating all
 2^(N-1) - 1 bipartitions (small N): the vertices split into two blocks of
 about N/2, crossing counts inside each block are tabulated over its 2^(N/2)
-assignments, and the edges joining the blocks cost one matrix product per
-chunk of cuts, whatever the edge count. Otherwise it is approximated by a
-size-constrained Kernighan-Lin local search run once per admissible size
-split (1, N-1), (2, N-2), ..., (floor(N/2), ceil(N/2)), keeping the smallest
-density found; the restarts of a size class are refined together as one
-batch. Closed forms are available for the standard named topologies.
+assignments, and with the edges joining the blocks they make one float32
+matrix product per chunk of cuts, whatever the edge count, reduced at once
+to the least crossing count per pair of block side sizes. Otherwise it is
+approximated by a size-constrained Kernighan-Lin local search run once per
+admissible size split (1, N-1), (2, N-2), ..., (floor(N/2), ceil(N/2)),
+keeping the smallest density found; the restarts of a size class are refined
+together as one batch. Closed forms are available for the standard named
+topologies.
 
 Cuts are canonicalised so that vertex 0 lies on side V1; ties between cuts of
 equal density are broken by smallest N1, then by lexicographically smallest
@@ -39,8 +41,9 @@ __all__ = [
     "EXACT_VERTEX_CAP",
 ]
 
-# The 2^21 cuts of N = 22 take about ten array passes per chunk, whatever the
-# edge count: 0.03-0.05 s on one thread of a 2-core Xeon (ring-22, ER(22, 0.3)).
+# The 2^21 cuts of N = 22 take two array passes per chunk, whatever the edge
+# count: 6-10 ms on one thread of a 2-core Xeon (ER(22, 0.3), K22, ring-22),
+# and ER(30, 0.2) at max_vertices=30 takes 1.3 s.
 EXACT_VERTEX_CAP = 22
 
 _CHUNK = 1 << 18
@@ -129,16 +132,24 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
 
     Vertex 0 is pinned to side V1, so the masks 0 .. 2^(N-1)-2 over the
     remaining vertices (bit i-1 set puts vertex i on V1) enumerate each cut
-    exactly once. Densities are compared as exact rationals when selecting
-    the final cut.
+    exactly once.
 
     The mask bits split into a low block (vertex 0 and vertices 1..N//2) and
     a high block (the rest), so mask = lo + (hi << N//2). With x the 0/1 side
     indicator, an edge crosses iff x_u + x_v - 2 x_u x_v = 1: edges inside a
     block and the linear terms of the joining edges are per-block tables
-    b_lo, b_hi, and the joining edges' bilinear terms over a chunk of high
-    rows are one product s_hi @ J @ s_lo^T. Every entry is a small integer, so
-    the float64 product is exact.
+    b_lo, b_hi, and the joining edges' bilinear terms are s_hi @ J @ s_lo^T.
+    So a chunk of high rows has its crossing counts in one float32 product
+    [s_hi | b_hi | 1] @ [-2 J s_lo^T; 1; b_lo], exact because every entry and
+    partial sum, in any order, is an integer below 3E < 2^24 in magnitude.
+
+    Masks in popcount order make each (high class, low class) pair one block
+    of the product, so a `minimum.reduceat` per axis gives its least b. A cut
+    with N1 vertices on V1 lies in a block whose popcounts sum to N1, so these
+    minima give the least b per N1, and the least b / (N1 * N2), an exact
+    rational with ties to the smaller N1, is the minimum. Only the blocks
+    holding that (N1, b) are computed again, for the lexicographically
+    smallest side among their cuts with b crossing edges.
     """
     _require_connected(g)
     n = g.n_vertices
@@ -150,52 +161,52 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
     if n < 2:
         raise ValueError("minimum density needs at least two vertices")
     n_lo = n // 2  # mask bits in the low block
+    n_hi = n - 1 - n_lo
     first_hi = n_lo + 1  # vertex of high-block column 0
     s_lo = np.hstack([np.ones((1 << n_lo, 1), dtype=np.int64), _bit_rows(n_lo)])
-    s_hi = _bit_rows(n - 1 - n_lo)
+    s_hi = _bit_rows(n_hi)
     eu, ev = g.edge_array()  # u < v, so a joining edge has u low and v high
     low, high = ev < first_hi, eu >= first_hi
     ju, jv = eu[~low & ~high], ev[~low & ~high] - first_hi
     hu, hv = eu[high] - first_hi, ev[high] - first_hi
     b_lo = (s_lo[:, eu[low]] ^ s_lo[:, ev[low]]).sum(axis=1) + s_lo[:, ju].sum(axis=1)
     b_hi = (s_hi[:, hu] ^ s_hi[:, hv]).sum(axis=1) + s_hi[:, jv].sum(axis=1)
-    joining = np.zeros((s_hi.shape[1], s_lo.shape[1]))  # J[high column, low vertex]
-    joining[jv, ju] = 1.0
-    twice_j_lo = 2.0 * (joining @ s_lo.T)
-    s_hi_f = s_hi.astype(np.float64)
-    n1_lo = s_lo.sum(axis=1)
-    n1_hi = s_hi.sum(axis=1)
+    joining = np.zeros((n_hi, n_lo + 1), dtype=np.int64)  # J[high column, low vertex]
+    joining[jv, ju] = 1
+    # Stable popcount orders (position -> mask), and where each class starts.
+    lo_count, hi_count = s_lo.sum(axis=1), s_hi.sum(axis=1)
+    lo_masks, hi_masks = np.argsort(lo_count, kind="stable"), np.argsort(hi_count, kind="stable")
+    hi_class = hi_count[hi_masks]
+    lo_starts = np.searchsorted(lo_count[lo_masks], np.arange(1, n_lo + 3))
+    hi_starts = np.searchsorted(hi_class, np.arange(n_hi + 2))
+    left = np.column_stack([s_hi, b_hi, np.ones(1 << n_hi)])[hi_masks].astype(np.float32)
+    right = np.vstack([-2 * joining @ s_lo.T, np.ones(1 << n_lo), b_lo])[:, lo_masks].astype(np.float32)
 
-    n_rows = s_hi.shape[0]
     rows = max(1, _CHUNK >> n_lo)
-    best_density = np.inf
-    candidates: list[int] = []  # one mask per chunk at the minimum
-    for r0 in range(0, n_rows, rows):
-        r1 = min(r0 + rows, n_rows)
-        cross = b_hi[r0:r1, None] + b_lo[None, :] - s_hi_f[r0:r1] @ twice_j_lo
-        n1 = n1_hi[r0:r1, None] + n1_lo[None, :]
-        denom = n1 * (n - n1)
-        if r1 == n_rows:  # the all-V1 mask ends the last chunk and is no cut
-            cross[-1, -1], denom[-1, -1] = np.inf, 1
-        dens = cross / denom
-        # Integer numerators/denominators are tiny, so equal rationals map to
-        # the identical float and strict float comparisons are exact here.
-        chunk_min = float(dens.min())
-        if chunk_min > best_density:
-            continue
-        if chunk_min < best_density:
-            best_density = chunk_min
-            candidates = []
-        tied = np.flatnonzero(dens == chunk_min)
-        tied_n1 = n1.ravel()[tied]
-        tied = tied[tied_n1 == tied_n1.min()]
-        # Reversing the n-1 mask bits orders masks as their side tuples compare.
-        i = int(tied[np.argmin(_bit_reversed(tied + (r0 << n_lo), n - 1))])
-        candidates.append((r0 << n_lo) + i)
+    # Least crossing count of each block, indexed [hi popcount, lo popcount - 1].
+    class_min = np.full((n_hi + 1, n_lo + 1), np.inf, dtype=np.float32)
+    for r0 in range(0, 1 << n_hi, rows):
+        r1 = min(r0 + rows, 1 << n_hi)
+        c0, c1 = hi_class[r0], hi_class[r1 - 1] + 1
+        row_min = np.minimum.reduceat(left[r0:r1] @ right, lo_starts[:-1], axis=1)
+        block_min = np.minimum.reduceat(row_min, np.maximum(hi_starts[c0:c1], r0) - r0, axis=0)
+        class_min[c0:c1] = np.minimum(class_min[c0:c1], block_min)
+    class_min[n_hi, n_lo] = np.inf  # the all-V1 mask is no cut
+    class_n1 = np.add.outer(np.arange(n_hi + 1), np.arange(1, n_lo + 2))
+    least_b = {k: int(class_min[class_n1 == k].min()) for k in range(1, n)}
+    n1 = min(least_b, key=lambda k: (Fraction(least_b[k], k * (n - k)), k))
+    b = least_b[n1]
 
-    bits = np.arange(n - 1)
-    cuts = (Cut.of(g, np.append(True, (mask >> bits) & 1)) for mask in candidates)
-    return _result_from_cut(min(cuts, key=_cut_sort_key), "exact")
+    # Reversing the n-1 mask bits orders masks as their side tuples compare.
+    best = 1 << (n - 1)  # above every reversed mask
+    for hc, lc in zip(*np.nonzero((class_n1 == n1) & (class_min == b))):
+        for r0 in range(hi_starts[hc], hi_starts[hc + 1], rows):
+            r1 = min(r0 + rows, hi_starts[hc + 1])
+            r, c = np.nonzero(left[r0:r1] @ right[:, lo_starts[lc]:lo_starts[lc + 1]] == b)
+            rev = _bit_reversed(lo_masks[lo_starts[lc] + c] + (hi_masks[r0 + r] << n_lo), n - 1)
+            best = int(rev.min(initial=best))
+    side = np.append(True, (best >> np.arange(n - 2, -1, -1)) & 1)  # reversed bit n-1-i is vertex i
+    return _result_from_cut(Cut.of(g, side), "exact")
 
 
 def _bit_rows(n_bits: int) -> np.ndarray:

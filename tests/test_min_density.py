@@ -161,6 +161,37 @@ def test_exact_matches_brute_force_on_random_graphs(chunk, monkeypatch):
     check()
 
 
+# Recorded from the enumeration that kept per-chunk float64 densities, before
+# the float32 product and per-size-class minima. The first three have many
+# tied cuts, so they go through the re-scan; K22 has the most edges possible
+# at the cap and so the largest float32 sums. Columns: delta hex, side V2,
+# N1, N2, crossing edges.
+EXACT_GOLDEN = [
+    ("ring22", ps.ring_graph(22), "0x1.745d1745d1746p-3", list(range(1, 12)), 11, 11, 2),
+    ("path21", ps.path_graph(21), "0x1.86fb586fb5870p-4", list(range(10, 21)), 10, 11, 1),
+    ("C20(2)", ps.nearest_neighbours_graph(20, 2), "0x1.3333333333333p-1", list(range(1, 11)), 10, 10, 6),
+    ("ER(20,0.3,1)", ps.erdos_renyi_graph(20, 0.3, seed=1), "0x1.0d79435e50d79p-1", [13], 19, 1, 1),
+    ("ER(21,0.25,2)", ps.erdos_renyi_graph(21, 0.25, seed=2), "0x1.0cccccccccccdp+0", [16], 20, 1, 2),
+    ("ER(22,0.3,3)", ps.erdos_renyi_graph(22, 0.3, seed=3), "0x1.a666666666666p-1", [6, 11], 20, 2, 3),
+    ("star22", ps.star_graph(22), "0x1.0c30c30c30c31p-1", [1], 21, 1, 1),
+    ("K22", ps.complete_graph(22), "0x1.6000000000000p+3", list(range(1, 22)), 1, 21, 21),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 4], ids=["default-chunk", "chunk16"])
+@pytest.mark.parametrize("g,delta_hex,side2,n1,n2,b", [c[1:] for c in EXACT_GOLDEN],
+                         ids=[c[0] for c in EXACT_GOLDEN])
+def test_exact_golden_results(g, delta_hex, side2, n1, n2, b, chunk, monkeypatch):
+    # A 16-entry chunk is one high row at these N, so chunks split every
+    # popcount class of the high block.
+    if chunk is not None:
+        monkeypatch.setattr(min_density, "_CHUNK", chunk)
+    result = ps.min_density_exact(g)
+    assert result.delta.hex() == delta_hex
+    assert result == ps.MinDensityResult(
+        float.fromhex(delta_hex), ps.Cut(_side(g.n_vertices, side2), n1, n2, b), "exact")
+
+
 # ----------------------------------------------------------------------------
 # Closed forms
 # ----------------------------------------------------------------------------
