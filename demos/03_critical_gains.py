@@ -31,7 +31,7 @@ report = ps.compute_thresholds(cert, gamma, gamma, g_diff, ps.ring_graph(N), fie
 print("full report for the ring/ring pairing (certificate spot-checked by sampling):")
 print(f"  mu2(Q) = {report.mu2_q:.4f}, mu_inf(M) = {report.mu_inf_m:.1f}")
 print(f"  c_star = {report.c_star:.3f}, cd_star = {report.cd_star:.3f}")
-print(f"  certificate sampling verdict: {report.hypotheses.certificate_verified}")
+print(f"  certificate sampling verdict: {report.certificate_verified}")
 print(f"  delta computed by: {report.delta_method} solver "
       f"({'certified' if report.delta_certified else 'upper bound only'})")
 

@@ -31,7 +31,6 @@ from .graphs import (
     generate_topology,
     incidence,
     is_connected,
-    laplacian,
     nearest_neighbours_graph,
     path_graph,
     read_graph_file,
@@ -69,7 +68,6 @@ from .star_functions import (
     phi,
 )
 from .thresholds import (
-    HypothesisRecord,
     ScenarioResult,
     ThresholdReport,
     compute_thresholds,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "laplacian",
     "incidence",
     "is_connected",
     "algebraic_connectivity",
@@ -113,7 +110,6 @@ __all__ = [
     "certificate_from_decomposition",
     "verify_sigma_quad",
     "CertificateCheck",
-    "HypothesisRecord",
     "ThresholdReport",
     "critical_gains",
     "compute_thresholds",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +60,9 @@ class ExperimentConfig:
     seed: int
     decimation: int
     out_dir: Path
-    init_amplitude: float = 5.0
-    sign_mode: str = "exact"
-    smooth_epsilon: float = 1e-3
+    init_amplitude: float = SimConfig.init_amplitude
+    sign_mode: str = SimConfig.sign_mode
+    smooth_epsilon: float = SimConfig.smooth_epsilon
     per_node_errors: bool = False
 
 
@@ -99,6 +99,13 @@ def _scalar(convert, value, path: str):
         raise ConfigError(f"{path}: expected {convert.__name__}, got {value!r}") from exc
 
 
+def _integer(value, path: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _flag(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
@@ -118,7 +125,7 @@ def _parse_system(doc: dict) -> tuple[PwsVectorField, SigmaQuadCertificate, np.n
         if "gain" not in item or "coordinate" not in item:
             raise ConfigError(f"system.switch_terms[{i}]: needs 'gain' and 'coordinate'")
         gain = _vector(item["gain"], f"system.switch_terms[{i}].gain", n)
-        coord = _scalar(int, item["coordinate"], f"system.switch_terms[{i}].coordinate")
+        coord = _integer(item["coordinate"], f"system.switch_terms[{i}].coordinate")
         if not (0 <= coord < n):
             raise ConfigError(f"system.switch_terms[{i}].coordinate: {coord} out of range for n={n}")
         terms.append(SwitchTerm(gain=gain, coordinate=coord))
@@ -151,8 +158,9 @@ def _parse_layer(doc, path: str, base_dir: Path) -> Graph:
             raise ConfigError(f"{path}.file: {exc}") from exc
     if "kind" not in layer or "n" not in layer:
         raise ConfigError(f"{path}: needs either 'file' or 'kind' plus 'n'")
-    params = {key: _scalar(kind, layer[key], f"{path}.{key}")
-              for key, kind in (("n", int), ("l", int), ("p", float), ("seed", int)) if key in layer}
+    params = {key: _integer(layer[key], f"{path}.{key}") for key in ("n", "l", "seed") if key in layer}
+    if "p" in layer:
+        params["p"] = _scalar(float, layer["p"], f"{path}.p")
     try:
         return generate_topology(layer["kind"], **params)
     except (ValueError, RuntimeError) as exc:
@@ -198,14 +206,14 @@ def load_experiment_config(path) -> ExperimentConfig:
         g_discontinuous=g_disc,
         c=c,
         cd=cd,
-        dt=_scalar(float, sim.get("dt", 1e-3), "sim.dt"),
-        t_end=_scalar(float, sim.get("t_end", 5.0), "sim.t_end"),
-        seed=_scalar(int, sim.get("seed", 0), "sim.seed"),
-        init_amplitude=_scalar(float, sim.get("init_amplitude", 5.0), "sim.init_amplitude"),
-        sign_mode=_scalar(str, sim.get("sign_mode", "exact"), "sim.sign_mode"),
-        smooth_epsilon=_scalar(float, sim.get("smooth_epsilon", 1e-3), "sim.smooth_epsilon"),
+        dt=_scalar(float, sim.get("dt", SimConfig.dt), "sim.dt"),
+        t_end=_scalar(float, sim.get("t_end", SimConfig.t_end), "sim.t_end"),
+        seed=_integer(sim.get("seed", SimConfig.init_seed), "sim.seed"),
+        init_amplitude=_scalar(float, sim.get("init_amplitude", SimConfig.init_amplitude), "sim.init_amplitude"),
+        sign_mode=_scalar(str, sim.get("sign_mode", SimConfig.sign_mode), "sim.sign_mode"),
+        smooth_epsilon=_scalar(float, sim.get("smooth_epsilon", SimConfig.smooth_epsilon), "sim.smooth_epsilon"),
         out_dir=_scalar(Path, out.get("directory", "."), "output.directory"),
-        decimation=_scalar(int, out.get("decimation", 10), "output.decimation"),
+        decimation=_integer(out.get("decimation", SimConfig.decimation), "output.decimation"),
         per_node_errors=_flag(out.get("per_node_errors", False), "output.per_node_errors"),
     )
 
@@ -227,7 +235,7 @@ def _resolve_gains(cfg: ExperimentConfig) -> tuple[float, float, ThresholdReport
     if cfg.c is not None:
         return cfg.c, cfg.cd, None
     report = _thresholds(cfg)
-    if report.hypotheses.certificate_verified is False:
+    if report.certificate_verified is False:
         raise ConfigError(
             "gains: auto gains need the certificate hypothesis to hold, but a sampled "
             "counterexample falsified the (P, Q, M) growth bound for the node dynamics"
@@ -256,7 +264,7 @@ def format_threshold_report(report: ThresholdReport) -> str:
         ("c_star", _fmt(report.c_star)),
         ("cd_star", _fmt(report.cd_star)),
     ]
-    verified = report.hypotheses.certificate_verified
+    verified = report.certificate_verified
     cert_note = {True: "passed sampling", False: "FALSIFIED by sampling", None: "not sampled"}[verified]
     rows.append(("certificate check", cert_note))
     if not report.delta_certified:
@@ -279,7 +287,7 @@ def threshold_report_json(report: ThresholdReport) -> str:
         "mu2_lower_p_gamma": report.mu2_lower_p_gamma,
         "mu_inf_m": report.mu_inf_m,
         "mu_inf_lower_p_gamma_d": report.mu_inf_lower_p_gamma_d,
-        "hypotheses": asdict(report.hypotheses),
+        "certificate_verified": report.certificate_verified,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -356,7 +364,7 @@ def _write_run(cfg: ExperimentConfig, c: float, cd: float, stem: str) -> Simulat
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     for name in ("dt", "t_end", "seed"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
     if getattr(args, "c", None) is not None or getattr(args, "cd", None) is not None:
@@ -403,7 +411,13 @@ def _cmd_resilience(args) -> int:
         edges = item.get("remove")
         if not isinstance(edges, list):
             raise ConfigError(f"scenarios[{i}].remove: expected a list of [i, j] pairs")
-        removals.append([(int(u), int(v)) for u, v in edges])
+        pairs = []
+        for j, edge in enumerate(edges):
+            where = f"scenarios[{i}].remove[{j}]"
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise ConfigError(f"{where}: expected an [i, j] pair, got {edge!r}")
+            pairs.append(tuple(_integer(end, f"{where}[{k}]") for k, end in enumerate(edge)))
+        removals.append(pairs)
     results = resilience_report(
         cfg.g_discontinuous,
         removals,

@@ -77,7 +77,7 @@ class PwsVectorField:
     def dimension(self) -> int:
         return self.a.shape[0]
 
-    def __call__(self, x, t: float = 0.0) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape != (self.dimension,):
             raise ValueError(f"state must have length {self.dimension}, got {x.shape}")
@@ -143,6 +143,10 @@ def certificate_from_decomposition(f: PwsVectorField, p=None, m=None) -> SigmaQu
     return SigmaQuadCertificate(p, p @ f.a, m)
 
 
+# A sampled pair violates the certificate when its slack is below -_SLACK_TOLERANCE.
+_SLACK_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class CertificateCheck:
     """Outcome of sampled certificate falsification.
@@ -163,7 +167,6 @@ def verify_sigma_quad(
     n_samples: int = 100_000,
     radius: float = 10.0,
     seed: int | None = 0,
-    tolerance: float = 1e-9,
 ) -> CertificateCheck:
     """Sample state pairs and test the certificate inequality on each.
 
@@ -204,7 +207,7 @@ def verify_sigma_quad(
     slack = rhs - lhs
 
     worst = float(slack.min())
-    if worst >= -tolerance:
+    if worst >= -_SLACK_TOLERANCE:
         return CertificateCheck(True, x1.shape[0], worst)
-    bad = int(np.argmax(slack < -tolerance))  # first violating pair
+    bad = int(np.argmax(slack < -_SLACK_TOLERANCE))  # first violating pair
     return CertificateCheck(False, x1.shape[0], worst, (x1[bad].copy(), x2[bad].copy()))

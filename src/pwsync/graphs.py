@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "laplacian",
     "incidence",
     "is_connected",
     "algebraic_connectivity",
@@ -109,17 +108,8 @@ class Graph:
         return a
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A as an integer matrix.
-
-    Symmetric, zero row sums, positive semidefinite with smallest eigenvalue 0.
-    """
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a
-
-
 def incidence(g: Graph) -> np.ndarray:
-    """Signed vertex-edge incidence matrix B with B @ B.T == laplacian(g).
+    """Signed vertex-edge incidence matrix B, whose B @ B.T is the Laplacian L = D - A.
 
     Column k corresponds to the k-th edge in sorted order and carries +1 at the
     smaller endpoint and -1 at the larger one (fixed convention; any consistent
@@ -350,14 +340,17 @@ def nearest_neighbours_graph(n: int, l: int) -> Graph:
     return Graph(n, np.column_stack((i, (i + k + 1) % n)))
 
 
-def erdos_renyi_graph(n: int, p: float, seed: int | None = None, max_retries: int = 1000) -> Graph:
+_ER_MAX_RETRIES = 1000  # draws erdos_renyi_graph makes before it gives up; read at call time
+
+
+def erdos_renyi_graph(n: int, p: float, seed: int | None = None) -> Graph:
     """Connected G(n, p) sample.
 
     Each of the n(n-1)/2 vertex pairs (i, j), i < j, taken in row-major
     order, is drawn independently with probability p; the whole draw is
     repeated until the result is connected. Only the indices of the kept
     pairs are turned into endpoints, so no array of all pairs is built. Raises
-    RuntimeError once the retry budget is exhausted (p too small for n).
+    RuntimeError after _ER_MAX_RETRIES disconnected draws (p too small for n).
     """
     _check_n(n)
     if not (0.0 < p < 1.0):
@@ -365,13 +358,13 @@ def erdos_renyi_graph(n: int, p: float, seed: int | None = None, max_retries: in
     rng = np.random.default_rng(seed)
     rows = np.arange(n)
     row_start = rows * (2 * n - rows - 1) // 2  # flat index of pair (i, i + 1) in row-major order
-    for _ in range(max_retries):
+    for _ in range(_ER_MAX_RETRIES):
         k = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
         i = np.searchsorted(row_start, k, side="right") - 1
         g = Graph._of_sorted(n, i, k - row_start[i] + i + 1)
         if is_connected(g):
             return g
-    raise RuntimeError(f"no connected Erdos-Renyi draw with n={n}, p={p} in {max_retries} retries")
+    raise RuntimeError(f"no connected Erdos-Renyi draw with n={n}, p={p} in {_ER_MAX_RETRIES} retries")
 
 
 def generate_topology(

@@ -48,6 +48,9 @@ EXACT_VERTEX_CAP = 22
 
 _CHUNK = 1 << 18
 
+# Kernighan-Lin starts per size class in the heuristic: half grown, half uniform.
+_RESTARTS = 16
+
 # Kernighan-Lin swap gain standing in for a pair that may not swap: below every
 # real gain (at least -2N - 2), and far enough from the int64 minimum to add to.
 _NEVER = np.iinfo(np.int64).min // 2
@@ -296,16 +299,14 @@ def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator, adj: list[list[i
     return side
 
 
-def min_density_heuristic(g: Graph, seed: int | None = None, *, restarts: int = 16) -> MinDensityResult:
+def min_density_heuristic(g: Graph, seed: int | None = None) -> MinDensityResult:
     """Upper bound on the minimum density via per-size-class local search.
 
     For every target split (k, N-k) the crossing count is minimised by
-    Kernighan-Lin refinement from `restarts` starts (half grown as connected
+    Kernighan-Lin refinement from _RESTARTS starts (half grown as connected
     clusters, half uniform random), refined as one batch; the best density
     over all size classes is returned. Deterministic for a fixed seed.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     _require_connected(g)
     n = g.n_vertices
     if n < 2:
@@ -317,8 +318,8 @@ def min_density_heuristic(g: Graph, seed: int | None = None, *, restarts: int = 
     def refined_cuts():
         for k in range(1, n // 2 + 1):
             # Refinement draws nothing, so drawing every start first keeps the stream.
-            starts = [_bfs_grown_side(g, k, rng, nbrs) if start < (restarts + 1) // 2
-                      else _uniform_side(n, k, rng) for start in range(restarts)]
+            starts = [_bfs_grown_side(g, k, rng, nbrs) if start < _RESTARTS // 2
+                      else _uniform_side(n, k, rng) for start in range(_RESTARTS)]
             yield from (Cut.of(g, side) for side in _kl_refine(adj, np.array(starts)))
 
     return _result_from_cut(min(refined_cuts(), key=_cut_sort_key), "heuristic")

@@ -1,6 +1,6 @@
 """Fixed-step simulation of the two-layer coupled network.
 
-Node i obeys  dx_i/dt = f(x_i; t) + u_i  with the control
+Node i obeys  dx_i/dt = f(x_i) + u_i  with the control
 
     u_i = -c   * sum_j L_ij   Gamma   (x_j - x_i)
           -c_d * sum_j L_ij^d Gamma_d sign(x_j - x_i),

@@ -25,7 +25,6 @@ from .min_density import EXACT_VERTEX_CAP, MinDensityResult, min_density_exact, 
 
 __all__ = [
     "min_density_auto",
-    "HypothesisRecord",
     "ThresholdReport",
     "critical_gains",
     "compute_thresholds",
@@ -51,26 +50,6 @@ def min_density_auto(g: Graph, *, seed: int = 0) -> MinDensityResult:
 
 
 @dataclass(frozen=True)
-class HypothesisRecord:
-    """Per-hypothesis outcome; certificate_verified is None when not sampled."""
-
-    certificate_verified: bool | None
-    diffusive_connected: bool
-    discontinuous_connected: bool
-    mu2_lower_p_gamma_positive: bool
-    mu_inf_lower_p_gamma_d_positive: bool
-
-    def all_ok(self) -> bool:
-        return (
-            self.certificate_verified is not False
-            and self.diffusive_connected
-            and self.discontinuous_connected
-            and self.mu2_lower_p_gamma_positive
-            and self.mu_inf_lower_p_gamma_d_positive
-        )
-
-
-@dataclass(frozen=True)
 class ThresholdReport:
     """Critical gains with every intermediate quantity needed to recompute them."""
 
@@ -82,7 +61,7 @@ class ThresholdReport:
     mu2_lower_p_gamma: float
     mu_inf_m: float
     mu_inf_lower_p_gamma_d: float
-    hypotheses: HypothesisRecord
+    certificate_verified: bool | None  # sampled verdict on (P, Q, M); None when no field was given
 
     @property
     def delta_d(self) -> float:
@@ -142,9 +121,10 @@ def compute_thresholds(
 
     Violated hypotheses raise ValueError naming the failed clause. When the
     node field is supplied, the certificate is additionally spot-checked on
-    VERIFY_SAMPLES sampled pairs (recorded in the hypothesis record, never raising: a sampled
-    check can only falsify). The minimum density comes from min_density_auto
-    and is kept whole in the report's density field.
+    VERIFY_SAMPLES sampled pairs (recorded as the report's certificate_verified,
+    never raising: a sampled check can only falsify). The minimum density
+    comes from min_density_auto and is kept whole in the report's density
+    field.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     if g_diffusive.n_vertices != g_discontinuous.n_vertices:
@@ -170,13 +150,6 @@ def compute_thresholds(
 
     mu2_q = mu2(cert.q)
     c_star, cd_star = critical_gains(mu2_q, lambda2, m2l, mu_inf_m, density.delta, mil)
-    record = HypothesisRecord(
-        certificate_verified=verified,
-        diffusive_connected=True,
-        discontinuous_connected=True,
-        mu2_lower_p_gamma_positive=True,
-        mu_inf_lower_p_gamma_d_positive=True,
-    )
     return ThresholdReport(
         c_star=c_star,
         cd_star=cd_star,
@@ -186,7 +159,7 @@ def compute_thresholds(
         mu2_lower_p_gamma=m2l,
         mu_inf_m=mu_inf_m,
         mu_inf_lower_p_gamma_d=mil,
-        hypotheses=record,
+        certificate_verified=verified,
     )
 
 

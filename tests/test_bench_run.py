@@ -1,7 +1,7 @@
 """The benchmark drives pwsync through its public and module-level names
-(`pwsync.cli.simulate`, `write_run_csv`, paper-demo's outputs); one untimed
-flagship round and one untimed large_sparse round must still finish with
-every output check passing."""
+(`pwsync.cli.simulate`, `write_run_csv`, paper-demo's outputs, the fields of
+`ThresholdReport`); one untimed round of each workload must still finish
+with every output check passing."""
 
 from __future__ import annotations
 
@@ -34,3 +34,9 @@ def test_large_sparse_workload_runs_and_checks():
     # The only workload whose layers (N = 1000) take the Lanczos lambda2 path,
     # checked against networkx's spectrum.
     _run_one_round("large_sparse")
+
+
+def test_cut_exact_workload_runs_and_checks():
+    # The workload that calls compute_thresholds, resilience_report and
+    # min_density_heuristic directly and reads the reports they return.
+    _run_one_round("cut_exact")

@@ -106,7 +106,8 @@ def test_thresholds_report_relay_config(tmp_path, capsys):
     assert report["lambda2"] == pytest.approx(lam2, abs=1e-9)
     assert report["mu_inf_m"] == 4.0
     assert report["delta_method"] == "exact"
-    assert report["hypotheses"]["certificate_verified"] is True
+    assert report["certificate_verified"] is True
+    assert "hypotheses" not in report
 
 
 def test_thresholds_smooth_system_zero_cd(tmp_path, capsys):
@@ -196,6 +197,14 @@ def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix)
         (("layers", "discontinuous"), "seed", float("inf"), "layers.discontinuous.seed:"),
         (("output",), "per_node_errors", "false", "output.per_node_errors:"),
         (("output",), "per_node_errors", 1, "output.per_node_errors:"),
+        # Integer fields take only a JSON integer: no truncated float, no bool.
+        (("sim",), "seed", 1.0, "sim.seed:"),
+        (("sim",), "seed", True, "sim.seed:"),
+        (("output",), "decimation", 2.5, "output.decimation:"),
+        (("system", "switch_terms", 0), "coordinate", 0.5, "system.switch_terms[0].coordinate:"),
+        (("layers", "diffusive"), "n", 8.7, "layers.diffusive.n:"),
+        (("layers", "diffusive"), "l", 1.5, "layers.diffusive.l:"),
+        (("layers", "discontinuous"), "seed", False, "layers.discontinuous.seed:"),
     ],
 )
 def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, prefix):
@@ -211,6 +220,18 @@ def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, pref
     assert str(info.value).startswith(prefix)
     assert main(["thresholds", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+
+def test_config_without_sim_or_output_takes_sim_config_defaults(tmp_path):
+    doc = json.loads(write_config(tmp_path / "base.json").read_text())
+    del doc["sim"], doc["output"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_experiment_config(path)
+    got = pwsync.cli._sim_config(cfg, 1.0, 1.0)
+    default = ps.SimConfig(cfg.field, cfg.g_diffusive, cfg.g_discontinuous, 1.0, 1.0)
+    for name in ("dt", "t_end", "init_seed", "init_amplitude", "sign_mode", "smooth_epsilon", "decimation"):
+        assert getattr(got, name) == getattr(default, name), name
 
 
 def test_thresholds_invalid_json(tmp_path, capsys):
@@ -270,7 +291,7 @@ def test_auto_gain_outputs_keep_their_bytes(tmp_path, capsys):
     assert digests == {
         "run.csv": "94d217424a64cb820070a0a74fdb284af709f29344e241fb76029cab2ec4e6b1",
         "run_meta.json": "f307200a119e3315178e65cfc322f9909c15acf9761e40b1b3beb97051b68250",
-        "thresholds.json": "afcc214466272d3c0e529ef40196ddb7cac1fcfbeb0575813d59f6cff18b7896",
+        "thresholds.json": "69e5a2d279ffbba8c2d97aa91a1a1e297e84e02f6940fb09c88023e81a225d31",
     }
     assert (tmp_path / "report.json").read_bytes() == (out / "thresholds.json").read_bytes()
 
@@ -353,6 +374,24 @@ def test_resilience_bad_scenarios_file(tmp_path, capsys):
     scn.write_text(json.dumps({"scenarios": [{"label": "x"}]}))
     assert main(["resilience", "--config", str(cfg), "--scenarios", str(scn)]) == 2
     assert "scenarios[0].remove" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenarios, prefix",
+    [
+        ([{"remove": [[0.9, 1.2]]}], "scenarios[0].remove[0][0]:"),
+        ([{"remove": [[1]]}], "scenarios[0].remove[0]:"),
+        ([{"remove": [[0, 1], [2, True]]}], "scenarios[0].remove[1][1]:"),
+        ([{"remove": []}, {"remove": [[0, "1"]]}], "scenarios[1].remove[0][1]:"),
+    ],
+)
+def test_resilience_bad_scenario_edge_names_its_path(tmp_path, capsys, scenarios, prefix):
+    # An endpoint must be a JSON integer and an edge a pair; nothing is truncated.
+    cfg = write_config(tmp_path / "cfg.json")
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"scenarios": scenarios}))
+    assert main(["resilience", "--config", str(cfg), "--scenarios", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
 
 # ----------------------------------------------------------------------------

@@ -97,35 +97,18 @@ def test_construction_errors_name_the_first_bad_edge(edges, match):
 
 
 # ----------------------------------------------------------------------------
-# Laplacian / incidence
+# Incidence
 # ----------------------------------------------------------------------------
 
 
-def test_laplacian_single_edge():
-    g = ps.Graph(2, ((0, 1),))
-    assert np.array_equal(ps.laplacian(g), [[1, -1], [-1, 1]])
-
-
-def test_laplacian_complete_triangle():
-    lap = ps.laplacian(ps.complete_graph(3))
-    assert np.array_equal(np.diag(lap), [2, 2, 2])
-    off = lap[~np.eye(3, dtype=bool)]
-    assert np.array_equal(off, -np.ones(6))
-
-
-def test_laplacian_ring4_matches_hand_construction():
-    # edges (0,1),(0,3),(1,2),(2,3)
-    expected = np.array(
-        [
-            [2, -1, 0, -1],
-            [-1, 2, -1, 0],
-            [0, -1, 2, -1],
-            [-1, 0, -1, 2],
-        ]
-    )
-    lap = ps.laplacian(ps.ring_graph(4))
-    assert np.array_equal(lap, expected)
-    assert np.array_equal(lap.sum(axis=1), np.zeros(4))
+def _laplacian(g):
+    """Reference: the integer Laplacian L = D - A, written from the edge list."""
+    u, v = g.edge_array()
+    lap = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+    np.add.at(lap, (u, u), 1)
+    np.add.at(lap, (v, v), 1)
+    lap[u, v] = lap[v, u] = -1
+    return lap
 
 
 def test_incidence_single_edge_column():
@@ -136,7 +119,7 @@ def test_incidence_single_edge_column():
 def test_incidence_path3_reproduces_laplacian():
     g = ps.path_graph(3)
     b = ps.incidence(g)
-    assert np.array_equal(b @ b.T, ps.laplacian(g))
+    assert np.array_equal(b @ b.T, _laplacian(g))
 
 
 def test_incidence_empty_edge_set():
@@ -158,7 +141,7 @@ def test_incidence_empty_edge_set():
 def test_incidence_times_transpose_equals_laplacian_exactly(g):
     b = ps.incidence(g)
     assert b.dtype.kind == "i"
-    assert np.array_equal(b @ b.T, ps.laplacian(g))
+    assert np.array_equal(b @ b.T, _laplacian(g))
 
 
 def test_edge_array_is_built_once_and_read_only():
@@ -360,7 +343,7 @@ def test_algebraic_connectivity_needs_two_vertices():
 
 def _dense_lambda2(g):
     """Reference: the second of all eigenvalues of the dense Laplacian."""
-    return float(np.linalg.eigvalsh(ps.laplacian(g).astype(np.float64))[1])
+    return float(np.linalg.eigvalsh(_laplacian(g).astype(np.float64))[1])
 
 
 def test_lambda2_above_the_cap_matches_eigvalsh(monkeypatch):
@@ -510,15 +493,16 @@ def test_erdos_renyi_matches_pair_list_draw(n, p, seed):
     assert ps.erdos_renyi_graph(n, p, seed=seed).edges == expected.edges
 
 
-def test_erdos_renyi_pair_list_draw_with_retries():
+def test_erdos_renyi_pair_list_draw_with_retries(monkeypatch):
     # seed 1 needs three rejected draws before a connected one.
     expected, retries = _pair_list_erdos_renyi(12, 0.15, 1, 1000)
     assert retries == 3
     assert ps.erdos_renyi_graph(12, 0.15, seed=1).edges == expected.edges
     # A budget one short of that raises, as the reference runs dry.
     assert _pair_list_erdos_renyi(12, 0.15, 1, 3)[0] is None
-    with pytest.raises(RuntimeError, match="retries"):
-        ps.erdos_renyi_graph(12, 0.15, seed=1, max_retries=3)
+    monkeypatch.setattr(graphs, "_ER_MAX_RETRIES", 3)
+    with pytest.raises(RuntimeError, match="3 retries"):
+        ps.erdos_renyi_graph(12, 0.15, seed=1)
 
 
 def _triu_erdos_renyi(n, p, seed, max_retries=1000):
@@ -553,9 +537,10 @@ def test_erdos_renyi_rejects_bad_probability():
         ps.erdos_renyi_graph(5, 1.0)
 
 
-def test_erdos_renyi_retry_budget_exhausted():
-    with pytest.raises(RuntimeError, match="retries"):
-        ps.erdos_renyi_graph(24, 1e-6, seed=0, max_retries=50)
+def test_erdos_renyi_retry_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(graphs, "_ER_MAX_RETRIES", 50)
+    with pytest.raises(RuntimeError, match="50 retries"):
+        ps.erdos_renyi_graph(24, 1e-6, seed=0)
 
 
 def test_generate_topology_dispatch():

@@ -258,12 +258,6 @@ def test_heuristic_is_deterministic_per_seed():
     assert r1.sparsest_cut == r2.sparsest_cut
 
 
-@pytest.mark.parametrize("restarts", [0, -1])
-def test_heuristic_refuses_fewer_than_one_restart(restarts):
-    with pytest.raises(ValueError, match="restarts"):
-        ps.min_density_heuristic(ps.ring_graph(6), seed=0, restarts=restarts)
-
-
 def _side(n: int, side2: list[int]) -> tuple[bool, ...]:
     return tuple(v not in side2 for v in range(n))
 

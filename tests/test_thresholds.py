@@ -44,8 +44,7 @@ def test_report_on_actual_ring30_layer(relay, relay_cert, monkeypatch):
     assert report.mu_inf_m == 4.0
     assert report.delta_method == "heuristic"
     assert not report.delta_certified
-    assert report.hypotheses.certificate_verified is True
-    assert report.hypotheses.all_ok()
+    assert report.certificate_verified is True
     # one vertex above the cap: the same heuristic report
     monkeypatch.setattr(pwsync.thresholds, "EXACT_VERTEX_CAP", 29)
     assert report == ps.compute_thresholds(
@@ -155,16 +154,14 @@ def test_falsified_certificate_is_recorded_not_raised(relay):
     report = ps.compute_thresholds(
         bare, np.eye(3), np.eye(3), ps.ring_graph(6), ps.ring_graph(6), field=relay
     )
-    assert report.hypotheses.certificate_verified is False
-    assert not report.hypotheses.all_ok()
+    assert report.certificate_verified is False
 
 
 def test_certificate_check_skipped_without_field(relay_cert):
     report = ps.compute_thresholds(
         relay_cert, np.eye(3), np.eye(3), ps.ring_graph(6), ps.ring_graph(6)
     )
-    assert report.hypotheses.certificate_verified is None
-    assert report.hypotheses.all_ok()
+    assert report.certificate_verified is None
 
 
 # ----------------------------------------------------------------------------
