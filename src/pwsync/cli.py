@@ -106,6 +106,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _seed(value, path: str) -> int:
+    seed = _integer(value, path)
+    if seed < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _flag(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
@@ -158,7 +165,8 @@ def _parse_layer(doc, path: str, base_dir: Path) -> Graph:
             raise ConfigError(f"{path}.file: {exc}") from exc
     if "kind" not in layer or "n" not in layer:
         raise ConfigError(f"{path}: needs either 'file' or 'kind' plus 'n'")
-    params = {key: _integer(layer[key], f"{path}.{key}") for key in ("n", "l", "seed") if key in layer}
+    readers = {"n": _integer, "l": _integer, "seed": _seed}
+    params = {key: read(layer[key], f"{path}.{key}") for key, read in readers.items() if key in layer}
     if "p" in layer:
         params["p"] = _scalar(float, layer["p"], f"{path}.p")
     try:
@@ -208,7 +216,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         cd=cd,
         dt=_scalar(float, sim.get("dt", SimConfig.dt), "sim.dt"),
         t_end=_scalar(float, sim.get("t_end", SimConfig.t_end), "sim.t_end"),
-        seed=_integer(sim.get("seed", SimConfig.init_seed), "sim.seed"),
+        seed=_seed(sim.get("seed", SimConfig.init_seed), "sim.seed"),
         init_amplitude=_scalar(float, sim.get("init_amplitude", SimConfig.init_amplitude), "sim.init_amplitude"),
         sign_mode=_scalar(str, sim.get("sign_mode", SimConfig.sign_mode), "sim.sign_mode"),
         smooth_epsilon=_scalar(float, sim.get("smooth_epsilon", SimConfig.smooth_epsilon), "sim.smooth_epsilon"),
@@ -500,6 +508,17 @@ def _cmd_paper_demo(args) -> int:
 # ----------------------------------------------------------------------------
 
 
+def _seed_flag(text: str) -> int:
+    """argparse type of the --seed flags; argparse names the flag in its error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwsync",
@@ -515,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_flag, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_topology)
 
@@ -524,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.set_defaults(func=_cmd_mindensity)
 
     p = sub.add_parser("thresholds", help="critical coupling gains for a configured experiment")
@@ -537,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_flag, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--cd", type=float, default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -551,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paper-demo",
         help="end-to-end demo: 30 relay nodes, ring + random layers, below/above-threshold runs",
     )
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed_flag, default=7)
     p.add_argument("--out", default="paper_demo_out")
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--t-end", dest="t_end", type=float, default=2.0)

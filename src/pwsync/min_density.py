@@ -11,10 +11,12 @@ about N/2, crossing counts inside each block are tabulated over its 2^(N/2)
 assignments, and with the edges joining the blocks they make one float32
 matrix product per chunk of cuts, whatever the edge count, reduced at once
 to the least crossing count per pair of block side sizes. Otherwise it is
-approximated by a size-constrained Kernighan-Lin local search run once per
-admissible size split (1, N-1), (2, N-2), ..., (floor(N/2), ceil(N/2)),
-keeping the smallest density found; the restarts of a size class are refined
-together as one batch. Closed forms are available for the standard named
+approximated by a size-constrained Kernighan-Lin local search from several
+starts of every admissible size split (1, N-1), (2, N-2), ...,
+(floor(N/2), ceil(N/2)). The starts of all splits are refined as one
+lockstep batch, in groups of rows whose swap-gain tensors stay within a fixed
+element budget, and the refined cut of least density is picked by exact
+integer comparisons. Closed forms are available for the standard named
 topologies.
 
 Cuts are canonicalised so that vertex 0 lies on side V1; ties between cuts of
@@ -51,9 +53,9 @@ _CHUNK = 1 << 18
 # Kernighan-Lin starts per size class in the heuristic: half grown, half uniform.
 _RESTARTS = 16
 
-# Kernighan-Lin swap gain standing in for a pair that may not swap: below every
-# real gain (at least -2N - 2), and far enough from the int64 minimum to add to.
-_NEVER = np.iinfo(np.int64).min // 2
+# Most elements of one Kernighan-Lin gain tensor (rows x free V1 vertices x
+# N + 1): the heuristic's starts are refined in groups of rows under it.
+_GAIN_BUDGET = 1 << 20
 
 
 def _crossing_count(side: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> int:
@@ -110,15 +112,6 @@ def _require_connected(g: Graph) -> None:
     # downstream discontinuous gain infinite, so refuse instead.
     if not is_connected(g):
         raise ValueError("minimum density is only defined for connected graphs")
-
-
-def _cut_sort_key(cut: Cut) -> tuple[Fraction, int, tuple[bool, ...]]:
-    # Exact rational density, then the deterministic tie-breaks.
-    return (
-        Fraction(cut.crossing_edges, cut.n1 * cut.n2),
-        cut.n1,
-        cut.side_assignment,
-    )
 
 
 def _result_from_cut(cut: Cut, method: str) -> MinDensityResult:
@@ -232,48 +225,104 @@ def _bit_reversed(masks: np.ndarray, n_bits: int) -> np.ndarray:
 def _kl_refine(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """Kernighan-Lin passes at fixed side sizes on an (R, N) batch of starts.
 
-    Every row marks the same number k of vertices True. Each pass greedily
-    swaps (and locks) the best remaining pair even through zero or negative
-    gains, then rolls back to the best prefix; this lets the search cross
-    plateaus that defeat pure hill climbing. A row leaves the batch once a
-    pass cannot improve it. The rows run in lockstep: every pass makes
-    min(k, N - k) swaps, so after j swaps each row has k - j free vertices on
-    V1, and the gains of swapping them with every vertex form one
-    (R, k - j, N) tensor in which only the free V2 columns can win. Its flat
-    argmax picks the least u, then the least v, among equal gains.
+    Row r marks k_r vertices True, and rows may differ in k. Each pass
+    greedily swaps (and locks) the best remaining pair even through zero or
+    negative gains, then rolls back to the best prefix; this lets the search
+    cross plateaus that defeat pure hill climbing. A row leaves the batch once
+    a pass cannot improve it.
+
+    The rows run in lockstep (_kl_passes), in groups of consecutive rows in
+    descending order of their swap counts min(k, N - k), each group as large
+    as keeps its widest gain tensor within _GAIN_BUDGET elements. Every row is
+    refined on its own, so the grouping does not change a result.
     """
     sides = sides.copy()
-    adj2 = 2 * adj
     n = sides.shape[1]
-    k = int(sides[0].sum())
-    n_swaps = min(k, n - k)
+    k = np.count_nonzero(sides, axis=1)
+    order = np.argsort(-np.minimum(k, n - k), kind="stable")
+    # Real gains are at least -2N; an entry that carries the sentinel (about
+    # half the dtype's minimum) is at most sentinel + N - 1, so 16 bits serve
+    # while 3N < 2^14.
+    dtype = np.int16 if 3 * n < -(np.iinfo(np.int16).min // 2) else np.int32
+    # Twice the adjacency, plus an isolated dummy vertex N that pads rows.
+    adj2 = np.zeros((n + 1, n + 1), dtype=dtype)
+    adj2[:n, :n] = 2 * adj
+    first, width = 0, 0
+    for i, r in enumerate(order):
+        width = max(width, k[r])
+        if i > first and (i + 1 - first) * width * (n + 1) > _GAIN_BUDGET:
+            sides[order[first:i]] = _kl_passes(adj2, sides[order[first:i]])
+            first, width = i, k[r]
+    sides[order[first:]] = _kl_passes(adj2, sides[order[first:]])
+    return sides
+
+
+def _kl_passes(adj2: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """_kl_refine on rows in descending order of their swap counts.
+
+    `adj2` is twice the (N+1)-vertex adjacency of _kl_refine, in the gain
+    dtype. A pass makes as many lockstep swap steps as its first row has
+    swaps; a row whose swaps are done sits out the rest of the pass, so the
+    live rows of a step are a prefix. After j swaps a row has k - j free
+    vertices on V1. These, in ascending order and padded with the dummy vertex
+    to the widest row, against all N+1 vertices, form one (live, width, N+1)
+    gain tensor, in which pads, V1 and locked vertices and the dummy carry a
+    sentinel below every real gain. Its flat argmax picks the least u, then
+    the least v, among equal gains. The steps a row sits out gain 0, so its
+    best prefix is the same as if it ran alone.
+    """
+    sides = sides.copy()
+    n = sides.shape[1]
+    never = np.iinfo(adj2.dtype).min // 2 + 1  # twice it, less 2, still fits the dtype
+    degree = adj2.sum(axis=0) // 2
+    adj2_float = adj2.astype(np.float32)  # exact, and a BLAS product
     active = np.arange(sides.shape[0])
+    # Every step's gain tensor; no later pass has more rows or a wider row.
+    buffer = np.empty(len(sides) * np.count_nonzero(sides, axis=1).max() * (n + 1), dtype=adj2.dtype)
     while active.size:
-        free1 = sides[active]
+        free1 = np.zeros((active.size, n + 1), dtype=bool)
+        free1[:, :n] = sides[active]
         free2 = ~free1
-        row = np.arange(active.size)
+        free2[:, n] = False
+        k = np.count_nonzero(free1, axis=1)
+        n_swaps = np.minimum(k, n - k)
+        live = np.count_nonzero(n_swaps[:, None] > np.arange(n_swaps[0]), axis=0)
+        # Free V1 vertices of each row in ascending order, then the dummy.
+        i1 = np.argsort(free2, axis=1, kind="stable")[:, :k.max()]
+        i1[np.arange(i1.shape[1]) >= k[:, None]] = n
         # Crossing minus internal neighbours of each vertex while on V1 (the
         # negative while on V2); a free vertex has not moved.
-        ext = adj.sum(axis=1) - free1 @ adj2
-        moved_u, moved_v, step_gains = [], [], []
-        for _ in range(n_swaps):
-            i1 = np.nonzero(free1)[1].reshape(active.size, -1)
-            gain = (ext[row[:, None], i1][:, :, None] - adj2[i1]
-                    + np.where(free2, -ext, _NEVER)[:, None, :]).reshape(active.size, -1)
+        ext = (degree - free1 @ adj2_float).astype(adj2.dtype)
+        ext[:, n] = never
+        offsets = np.arange(active.size)[:, None] * (n + 1)  # of each row in ext's flat index
+        moved_u = np.zeros((active.size, live.size), dtype=np.intp)
+        moved_v = np.zeros_like(moved_u)
+        step_gains = np.zeros(moved_u.shape, dtype=np.int64)
+        rows = np.arange(active.size)
+        cols = np.arange(i1.shape[1])
+        for j, m in enumerate(live):
+            row, i1 = rows[:m], i1[:m]
+            # np.take gathers rows far faster than adj2[i1]; mode="clip" writes
+            # straight into `out` (every index is valid).
+            gain = np.take(adj2, i1, axis=0, out=buffer[:i1.size * (n + 1)].reshape(m, -1, n + 1),
+                           mode="clip")
+            np.subtract(np.take(ext, i1 + offsets[:m])[:, :, None], gain, out=gain)
+            gain += np.where(free2[:m], -ext[:m], never)[:, None, :]
+            gain = gain.reshape(m, -1)
             flat = np.argmax(gain, axis=1)
-            j1, v = np.divmod(flat, n)
+            j1, v = np.divmod(flat, n + 1)
             u = i1[row, j1]
-            free1[row, u] = free2[row, v] = False
-            ext += adj2[u] - adj2[v]
-            moved_u.append(u)
-            moved_v.append(v)
-            step_gains.append(gain[row, flat])
-        gains = np.cumsum(np.column_stack(step_gains), axis=1)
+            free2[row, v] = False
+            ext[:m] += np.take(adj2, u, axis=0) - np.take(adj2, v, axis=0)
+            moved_u[:m, j], moved_v[:m, j] = u, v
+            step_gains[:m, j] = gain[row, flat]
+            i1 = np.where(cols[:i1.shape[1] - 1] < j1[:, None], i1[:, :-1], i1[:, 1:])  # drop u
+        gains = np.cumsum(step_gains, axis=1)
         best_prefix = np.argmax(gains, axis=1)
-        improved = gains[row, best_prefix] > 0
-        r, j = np.nonzero((np.arange(n_swaps) <= best_prefix[:, None]) & improved[:, None])
-        sides[active[r], np.column_stack(moved_u)[r, j]] = False
-        sides[active[r], np.column_stack(moved_v)[r, j]] = True
+        improved = gains[rows, best_prefix] > 0
+        r, j = np.nonzero((np.arange(live.size) <= best_prefix[:, None]) & improved[:, None])
+        sides[active[r], moved_u[r, j]] = False
+        sides[active[r], moved_v[r, j]] = True
         active = active[improved]
     return sides
 
@@ -300,12 +349,16 @@ def _bfs_grown_side(g: Graph, k: int, rng: np.random.Generator, adj: list[list[i
 
 
 def min_density_heuristic(g: Graph, seed: int | None = None) -> MinDensityResult:
-    """Upper bound on the minimum density via per-size-class local search.
+    """Upper bound on the minimum density via size-constrained local search.
 
-    For every target split (k, N-k) the crossing count is minimised by
-    Kernighan-Lin refinement from _RESTARTS starts (half grown as connected
-    clusters, half uniform random), refined as one batch; the best density
-    over all size classes is returned. Deterministic for a fixed seed.
+    For every target split (k, N-k), k = 1..N//2, _RESTARTS starts are drawn
+    (half grown as connected clusters, half uniform random). All starts of
+    all classes are then refined by Kernighan-Lin as one lockstep batch, in
+    groups of rows whose gain tensors stay within _GAIN_BUDGET elements
+    (_kl_refine). The refined cut of least density wins, ties broken by the
+    least N1, then the lexicographically least side, as in the exact search;
+    it is picked by integer array comparisons over all rows (_least_cut).
+    Deterministic for a fixed seed.
     """
     _require_connected(g)
     n = g.n_vertices
@@ -314,15 +367,33 @@ def min_density_heuristic(g: Graph, seed: int | None = None) -> MinDensityResult
     rng = np.random.default_rng(seed)
     adj = g.adjacency()
     nbrs = [np.flatnonzero(row).tolist() for row in adj]  # built once for every grown start
+    # Refinement draws nothing, so drawing every start first keeps the stream.
+    starts = np.array([_bfs_grown_side(g, k, rng, nbrs) if start < _RESTARTS // 2
+                       else _uniform_side(n, k, rng)
+                       for k in range(1, n // 2 + 1) for start in range(_RESTARTS)])
+    return _result_from_cut(_least_cut(g, _kl_refine(adj, starts)), "heuristic")
 
-    def refined_cuts():
-        for k in range(1, n // 2 + 1):
-            # Refinement draws nothing, so drawing every start first keeps the stream.
-            starts = [_bfs_grown_side(g, k, rng, nbrs) if start < _RESTARTS // 2
-                      else _uniform_side(n, k, rng) for start in range(_RESTARTS)]
-            yield from (Cut.of(g, side) for side in _kl_refine(adj, np.array(starts)))
 
-    return _result_from_cut(min(refined_cuts(), key=_cut_sort_key), "heuristic")
+def _least_cut(g: Graph, sides: np.ndarray) -> Cut:
+    """The cut of least b / (N1 * N2) among the rows of `sides`, then of least
+    N1, then with the lexicographically least side (vertex 0 on V1).
+
+    The least b of each N1 class is compared exactly, by int64
+    cross-multiplication of b / (N1 * N2) between every pair of classes.
+    """
+    n = sides.shape[1]
+    eu, ev = g.edge_array()
+    canon = sides ^ ~sides[:, :1]  # vertex 0 on V1
+    b = np.count_nonzero(canon[:, eu] != canon[:, ev], axis=1)
+    n1 = np.count_nonzero(canon, axis=1)
+    least = np.full(n, g.n_edges + 1, dtype=np.int64)
+    np.minimum.at(least, n1, b)
+    classes = np.flatnonzero(least <= g.n_edges)  # ascending, so argmax below takes the least N1
+    lb, pairs = least[classes], classes * (n - classes)
+    wins = (lb[:, None] * pairs[None, :] <= lb[None, :] * pairs[:, None]).all(axis=1)
+    k = classes[np.argmax(wins)]
+    tied = np.flatnonzero((n1 == k) & (b == least[k]))
+    return Cut.of(g, canon[tied[np.lexsort(canon[tied].T[::-1])[0]]])
 
 
 def _uniform_side(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -205,6 +205,10 @@ def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix)
         (("layers", "diffusive"), "n", 8.7, "layers.diffusive.n:"),
         (("layers", "diffusive"), "l", 1.5, "layers.diffusive.l:"),
         (("layers", "discontinuous"), "seed", False, "layers.discontinuous.seed:"),
+        # Seeds are non-negative.
+        (("sim",), "seed", -1, "sim.seed: expected a non-negative integer, got -1"),
+        (("layers", "discontinuous"), "seed", -3,
+         "layers.discontinuous.seed: expected a non-negative integer, got -3"),
     ],
 )
 def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, prefix):
@@ -220,6 +224,19 @@ def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, pref
     assert str(info.value).startswith(prefix)
     assert main(["thresholds", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--config", "cfg.json"], ["paper-demo"], ["mindensity", "--graph", "g.txt"],
+     ["topology", "--kind", "ring", "--n", "5"]],
+    ids=["simulate", "paper-demo", "mindensity", "topology"],
+)
+def test_negative_seed_flag_is_refused_by_name(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--seed", "-1"])
+    assert info.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_config_without_sim_or_output_takes_sim_config_defaults(tmp_path):

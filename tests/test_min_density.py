@@ -282,6 +282,93 @@ def test_heuristic_golden_results(g, seed, delta_hex, cut):
     assert result == ps.MinDensityResult(float.fromhex(delta_hex), cut, "heuristic")
 
 
+_NEVER = np.iinfo(np.int64).min // 2
+
+
+def _kl_refine_per_class(adj, sides):
+    """The batched refinement that preceded the lockstep one: every row has the
+    same side size k, and the (R, k - j, N) int64 gain tensor of swap j is
+    rebuilt from the free V1 vertices of each row."""
+    sides = sides.copy()
+    adj2 = 2 * adj
+    n = sides.shape[1]
+    k = int(sides[0].sum())
+    n_swaps = min(k, n - k)
+    active = np.arange(sides.shape[0])
+    while active.size:
+        free1 = sides[active]
+        free2 = ~free1
+        row = np.arange(active.size)
+        ext = adj.sum(axis=1) - free1 @ adj2
+        moved_u, moved_v, step_gains = [], [], []
+        for _ in range(n_swaps):
+            i1 = np.nonzero(free1)[1].reshape(active.size, -1)
+            gain = (ext[row[:, None], i1][:, :, None] - adj2[i1]
+                    + np.where(free2, -ext, _NEVER)[:, None, :]).reshape(active.size, -1)
+            flat = np.argmax(gain, axis=1)
+            j1, v = np.divmod(flat, n)
+            u = i1[row, j1]
+            free1[row, u] = free2[row, v] = False
+            ext += adj2[u] - adj2[v]
+            moved_u.append(u)
+            moved_v.append(v)
+            step_gains.append(gain[row, flat])
+        gains = np.cumsum(np.column_stack(step_gains), axis=1)
+        best_prefix = np.argmax(gains, axis=1)
+        improved = gains[row, best_prefix] > 0
+        r, j = np.nonzero((np.arange(n_swaps) <= best_prefix[:, None]) & improved[:, None])
+        sides[active[r], np.column_stack(moved_u)[r, j]] = False
+        sides[active[r], np.column_stack(moved_v)[r, j]] = True
+        active = active[improved]
+    return sides
+
+
+def _heuristic_per_class(g, seed):
+    """The heuristic as a loop over size classes, each refined on its own, whose
+    cuts are compared by exact density, then N1, then side."""
+    n = g.n_vertices
+    rng = np.random.default_rng(seed)
+    adj = g.adjacency()
+    nbrs = _neighbour_lists(g)
+    restarts = min_density._RESTARTS
+
+    def refined_cuts():
+        for k in range(1, n // 2 + 1):
+            starts = [min_density._bfs_grown_side(g, k, rng, nbrs) if start < restarts // 2
+                      else min_density._uniform_side(n, k, rng) for start in range(restarts)]
+            yield from (ps.Cut.of(g, side) for side in _kl_refine_per_class(adj, np.array(starts)))
+
+    def key(cut):
+        return Fraction(cut.crossing_edges, cut.n1 * cut.n2), cut.n1, cut.side_assignment
+
+    best = min(refined_cuts(), key=key)
+    return ps.MinDensityResult(best.density_times_half_n(), best, "heuristic")
+
+
+@pytest.mark.parametrize(
+    "g,seed",
+    [(ps.complete_graph(24), 0), (ps.complete_graph(24), 11),
+     (ps.ring_graph(24), 0), (ps.ring_graph(24), 11),
+     (ps.star_graph(25), 0), (ps.star_graph(25), 11),
+     (ps.nearest_neighbours_graph(70, 2), 2), (ps.erdos_renyi_graph(70, 0.1, seed=3), 2)],
+    ids=["complete24-s0", "complete24-s11", "ring24-s0", "ring24-s11", "star25-s0", "star25-s11",
+         "circulant70-grouped", "ER70-grouped"],
+)
+def test_heuristic_equals_per_class_loop(g, seed, monkeypatch):
+    groups = []
+    passes = min_density._kl_passes
+
+    def counted_passes(adj2, sides):
+        groups.append(len(sides))
+        return passes(adj2, sides)
+
+    monkeypatch.setattr(min_density, "_kl_passes", counted_passes)
+    assert ps.min_density_heuristic(g, seed=seed) == _heuristic_per_class(g, seed)
+    assert sum(groups) == min_density._RESTARTS * (g.n_vertices // 2)
+    if g.n_vertices == 70:  # the budget splits the batch
+        assert len(groups) >= 2
+
+
 def _swap_gain_matrix(adj, side, free1, free2):
     """Crossing-count reduction for every (u in free1) x (v in free2) swap."""
     in1 = adj @ side  # neighbours on side V1, per vertex
@@ -353,12 +440,21 @@ def test_batched_refinement_equals_single_start_reference():
         adj = g.adjacency()
         nbrs = _neighbour_lists(g)
         n = g.n_vertices
-        for k in range(1, n // 2 + 1):
-            starts = np.array([min_density._bfs_grown_side(g, k, rng, nbrs) if r % 2 else
-                               min_density._uniform_side(n, k, rng) for r in range(restarts)])
-            batched = min_density._kl_refine(adj, starts)
-            for start, got in zip(starts, batched):
-                assert np.array_equal(got, _kl_refine_single(adj, start)), (k, np.flatnonzero(start))
+        # Every class's starts, drawn in the heuristic's order.
+        starts = np.array([min_density._bfs_grown_side(g, k, rng, nbrs) if r < restarts // 2 else
+                           min_density._uniform_side(n, k, rng)
+                           for k in range(1, n // 2 + 1) for r in range(restarts)])
+        want = np.array([_kl_refine_single(adj, start) for start in starts])
+        per_class = np.vstack([min_density._kl_refine(adj, starts[i:i + restarts])
+                               for i in range(0, len(starts), restarts)])
+        mixed = min_density._kl_refine(adj, starts)
+        # A budget of about three widest rows splits the mixed batch into many groups.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(min_density, "_GAIN_BUDGET", 3 * (n // 2) * (n + 1))
+            grouped = min_density._kl_refine(adj, starts)
+        for name, got in (("per class", per_class), ("mixed", mixed), ("grouped", grouped)):
+            bad = np.flatnonzero((got != want).any(axis=1))
+            assert bad.size == 0, (name, np.count_nonzero(starts[bad[:1]]), np.flatnonzero(starts[bad[:1]]))
 
     check()
 
