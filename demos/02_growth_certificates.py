@@ -47,7 +47,7 @@ cert = ps.relay_certificate()
 print("  constructive certificate with P = I:")
 print("    Q = A, mu2(Q)   =", round(ps.mu2(cert.q), 3))
 print("    M = diag", np.diag(cert.m), " mu_inf(M) =", ps.mu_inf(cert.m))
-check = ps.verify_sigma_quad(relay, cert, n_samples=100_000, radius=10.0, seed=0)
+check = ps.verify_sigma_quad(relay, cert, n_samples=100_000, seed=0)
 print("  sampling check:", describe(check))
 print("  (a passing sample check is falsification evidence, not a proof;")
 print("   the constructive certificate is what guarantees the bound)")

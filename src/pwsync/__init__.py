@@ -15,120 +15,22 @@ discontinuous layer, a sparsest-cut connectivity measure computed here exactly
 simulator verifies gains on concrete networks.
 """
 
-from .dynamics import (
-    CertificateCheck,
-    PwsVectorField,
-    SigmaQuadCertificate,
-    SwitchTerm,
-    certificate_from_decomposition,
-    verify_sigma_quad,
-)
-from .graphs import (
-    Graph,
-    algebraic_connectivity,
-    complete_graph,
-    erdos_renyi_graph,
-    generate_topology,
-    incidence,
-    is_connected,
-    nearest_neighbours_graph,
-    path_graph,
-    read_graph_file,
-    ring_graph,
-    star_graph,
-    write_graph_file,
-)
-from .matrix_measures import mu2, mu2_lower, mu_inf, mu_inf_lower
-from .min_density import (
-    EXACT_VERTEX_CAP,
-    Cut,
-    MinDensityResult,
-    min_density_closed_form,
-    min_density_exact,
-    min_density_heuristic,
-    remove_edges,
-)
-from .presets import relay_certificate, relay_feedback_system
-from .simulate import (
-    SimConfig,
-    SimulationRun,
-    coupling,
-    error_metrics,
-    simulate,
-    write_run_csv,
-    write_run_metadata,
-)
-from .star_functions import (
-    SeminegativityCheck,
-    StarFunctionParams,
-    bipartition_generator,
-    check_global_seminegativity,
-    enumerate_bipartitions,
-    min_a2_for_bipartition,
-    phi,
-)
-from .thresholds import (
-    ScenarioResult,
-    ThresholdReport,
-    compute_thresholds,
-    critical_gains,
-    min_density_auto,
-    resilience_report,
-)
+from . import dynamics, graphs, matrix_measures, min_density, presets, star_functions, thresholds
+from . import simulate as _simulate  # the submodule: the star import below binds `simulate` to the function
+from .dynamics import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .matrix_measures import *  # noqa: F403
+from .min_density import *  # noqa: F403
+from .presets import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .star_functions import *  # noqa: F403
+from .thresholds import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Every library submodule's public names; the command-line module `cli` stays out.
 __all__ = [
-    "Graph",
-    "incidence",
-    "is_connected",
-    "algebraic_connectivity",
-    "complete_graph",
-    "star_graph",
-    "path_graph",
-    "ring_graph",
-    "nearest_neighbours_graph",
-    "erdos_renyi_graph",
-    "generate_topology",
-    "read_graph_file",
-    "write_graph_file",
-    "Cut",
-    "MinDensityResult",
-    "min_density_exact",
-    "min_density_heuristic",
-    "min_density_closed_form",
-    "min_density_auto",
-    "remove_edges",
-    "EXACT_VERTEX_CAP",
-    "mu2",
-    "mu_inf",
-    "mu2_lower",
-    "mu_inf_lower",
-    "SwitchTerm",
-    "PwsVectorField",
-    "SigmaQuadCertificate",
-    "certificate_from_decomposition",
-    "verify_sigma_quad",
-    "CertificateCheck",
-    "ThresholdReport",
-    "critical_gains",
-    "compute_thresholds",
-    "ScenarioResult",
-    "resilience_report",
-    "StarFunctionParams",
-    "phi",
-    "bipartition_generator",
-    "min_a2_for_bipartition",
-    "enumerate_bipartitions",
-    "SeminegativityCheck",
-    "check_global_seminegativity",
-    "SimConfig",
-    "SimulationRun",
-    "coupling",
-    "simulate",
-    "error_metrics",
-    "write_run_csv",
-    "write_run_metadata",
-    "relay_feedback_system",
-    "relay_certificate",
+    name
+    for module in (dynamics, graphs, matrix_measures, min_density, presets, _simulate, star_functions, thresholds)
+    for name in module.__all__
 ]

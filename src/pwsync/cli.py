@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,21 +73,32 @@ def _expect_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _matrix(obj, path: str) -> np.ndarray:
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float; strings, bools, NaN and infinities are refused, not converted."""
     try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric matrix") from exc
+        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(obj, path: str) -> np.ndarray:
+    """A (nested) list of finite JSON numbers as a float array; a ragged list leaves a list entry, refused."""
+    entries = np.asarray(obj, dtype=object)
+    return np.array([_number(x, path) for x in entries.flat], dtype=np.float64).reshape(entries.shape)
+
+
+def _matrix(obj, path: str) -> np.ndarray:
+    arr = _numbers(obj, path)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{path}: expected a square matrix, got shape {arr.shape}")
     return arr
 
 
 def _vector(obj, path: str, length: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric vector") from exc
+    arr = _numbers(obj, path).reshape(-1)
     if arr.shape != (length,):
         raise ConfigError(f"{path}: expected length {length}, got {arr.shape[0]}")
     return arr
@@ -168,7 +180,7 @@ def _parse_layer(doc, path: str, base_dir: Path) -> Graph:
     readers = {"n": _integer, "l": _integer, "seed": _seed}
     params = {key: read(layer[key], f"{path}.{key}") for key, read in readers.items() if key in layer}
     if "p" in layer:
-        params["p"] = _scalar(float, layer["p"], f"{path}.p")
+        params["p"] = _number(layer["p"], f"{path}.p")
     try:
         return generate_topology(layer["kind"], **params)
     except (ValueError, RuntimeError) as exc:
@@ -201,7 +213,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         gains = _expect_mapping(gains, "gains")
         if "c" not in gains or "cd" not in gains:
             raise ConfigError("gains: needs numeric 'c' and 'cd', or the string \"auto\"")
-        c, cd = _scalar(float, gains["c"], "gains.c"), _scalar(float, gains["cd"], "gains.cd")
+        c, cd = _number(gains["c"], "gains.c"), _number(gains["cd"], "gains.cd")
 
     sim = _expect_mapping(doc.get("sim", {}), "sim")
     out = _expect_mapping(doc.get("output", {}), "output")
@@ -214,12 +226,12 @@ def load_experiment_config(path) -> ExperimentConfig:
         g_discontinuous=g_disc,
         c=c,
         cd=cd,
-        dt=_scalar(float, sim.get("dt", SimConfig.dt), "sim.dt"),
-        t_end=_scalar(float, sim.get("t_end", SimConfig.t_end), "sim.t_end"),
+        dt=_number(sim.get("dt", SimConfig.dt), "sim.dt"),
+        t_end=_number(sim.get("t_end", SimConfig.t_end), "sim.t_end"),
         seed=_seed(sim.get("seed", SimConfig.init_seed), "sim.seed"),
-        init_amplitude=_scalar(float, sim.get("init_amplitude", SimConfig.init_amplitude), "sim.init_amplitude"),
+        init_amplitude=_number(sim.get("init_amplitude", SimConfig.init_amplitude), "sim.init_amplitude"),
         sign_mode=_scalar(str, sim.get("sign_mode", SimConfig.sign_mode), "sim.sign_mode"),
-        smooth_epsilon=_scalar(float, sim.get("smooth_epsilon", SimConfig.smooth_epsilon), "sim.smooth_epsilon"),
+        smooth_epsilon=_number(sim.get("smooth_epsilon", SimConfig.smooth_epsilon), "sim.smooth_epsilon"),
         out_dir=_scalar(Path, out.get("directory", "."), "output.directory"),
         decimation=_integer(out.get("decimation", SimConfig.decimation), "output.decimation"),
         per_node_errors=_flag(out.get("per_node_errors", False), "output.per_node_errors"),
@@ -260,17 +272,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# The numbers of a threshold report in text order: (JSON key and ThresholdReport attribute, text label).
+_THRESHOLD_ROWS = (
+    ("lambda2", "lambda2(L) diffusive layer"),
+    ("delta_d", "delta discontinuous layer ({delta_label})"),
+    ("mu2_q", "mu2(Q)"),
+    ("mu2_lower_p_gamma", "mu2_lower(P Gamma)"),
+    ("mu_inf_m", "mu_inf(M)"),
+    ("mu_inf_lower_p_gamma_d", "mu_inf_lower(P Gamma_d)"),
+    ("c_star", "c_star"),
+    ("cd_star", "cd_star"),
+)
+
+
 def format_threshold_report(report: ThresholdReport) -> str:
     delta_label = "exact" if report.delta_certified else "heuristic, not certified"
     rows = [
-        ("lambda2(L) diffusive layer", _fmt(report.lambda2)),
-        (f"delta discontinuous layer ({delta_label})", _fmt(report.delta_d)),
-        ("mu2(Q)", _fmt(report.mu2_q)),
-        ("mu2_lower(P Gamma)", _fmt(report.mu2_lower_p_gamma)),
-        ("mu_inf(M)", _fmt(report.mu_inf_m)),
-        ("mu_inf_lower(P Gamma_d)", _fmt(report.mu_inf_lower_p_gamma_d)),
-        ("c_star", _fmt(report.c_star)),
-        ("cd_star", _fmt(report.cd_star)),
+        (label.format(delta_label=delta_label), _fmt(getattr(report, key))) for key, label in _THRESHOLD_ROWS
     ]
     verified = report.certificate_verified
     cert_note = {True: "passed sampling", False: "FALSIFIED by sampling", None: "not sampled"}[verified]
@@ -284,19 +302,12 @@ def format_threshold_report(report: ThresholdReport) -> str:
 
 
 def threshold_report_json(report: ThresholdReport) -> str:
-    payload = {
-        "c_star": report.c_star,
-        "cd_star": report.cd_star,
-        "lambda2": report.lambda2,
-        "delta_d": report.delta_d,
-        "delta_method": report.delta_method,
-        "delta_certified": report.delta_certified,
-        "mu2_q": report.mu2_q,
-        "mu2_lower_p_gamma": report.mu2_lower_p_gamma,
-        "mu_inf_m": report.mu_inf_m,
-        "mu_inf_lower_p_gamma_d": report.mu_inf_lower_p_gamma_d,
-        "certificate_verified": report.certificate_verified,
-    }
+    payload = {key: getattr(report, key) for key, _ in _THRESHOLD_ROWS}
+    payload.update(
+        delta_method=report.delta_method,
+        delta_certified=report.delta_certified,
+        certificate_verified=report.certificate_verified,
+    )
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

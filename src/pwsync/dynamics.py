@@ -145,6 +145,8 @@ def certificate_from_decomposition(f: PwsVectorField, p=None, m=None) -> SigmaQu
 
 # A sampled pair violates the certificate when its slack is below -_SLACK_TOLERANCE.
 _SLACK_TOLERANCE = 1e-9
+# Sampled states lie in the ball of this radius about the origin.
+_SAMPLE_RADIUS = 10.0
 
 
 @dataclass(frozen=True)
@@ -165,12 +167,11 @@ def verify_sigma_quad(
     f: PwsVectorField,
     cert: SigmaQuadCertificate,
     n_samples: int = 100_000,
-    radius: float = 10.0,
     seed: int | None = 0,
 ) -> CertificateCheck:
     """Sample state pairs and test the certificate inequality on each.
 
-    Pairs are drawn uniformly in the ball of the given radius; an extra
+    Pairs are drawn uniformly in the ball of radius _SAMPLE_RADIUS; an extra
     structured batch straddles each switching plane (opposite signs on the
     switching coordinate), where violations of too-small M show up first.
     Returns the first violating pair found, if any.
@@ -185,7 +186,7 @@ def verify_sigma_quad(
     def ball(count: int) -> np.ndarray:
         z = rng.normal(size=(count, n))
         z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
-        r = radius * rng.random(count) ** (1.0 / n)
+        r = _SAMPLE_RADIUS * rng.random(count) ** (1.0 / n)
         return z * r[:, None]
 
     x1 = ball(n_samples)

@@ -104,7 +104,7 @@ class Cut:
 class MinDensityResult:
     delta: float
     sparsest_cut: Cut
-    method: str  # "exact" | "heuristic" | "closed_form"
+    method: str  # "exact" | "heuristic"
 
 
 def _require_connected(g: Graph) -> None:

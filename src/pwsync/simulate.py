@@ -78,6 +78,9 @@ class SimConfig:
         )
         if self.gamma.shape != (n, n) or self.gamma_d.shape != (n, n):
             raise ValueError(f"inner coupling matrices must be {n}x{n}")
+        for name, gain in (("c", self.c), ("cd", self.cd)):
+            if not np.isfinite(gain):
+                raise ValueError(f"{name} must be finite, got {gain!r}")
         if not np.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite, got {self.t_end!r}")
         if not (0 < self.dt < self.t_end):
@@ -163,15 +166,20 @@ def coupling(states: np.ndarray, config: SimConfig) -> np.ndarray:
     return _coupling_operator(config)(np.asarray(states, dtype=np.float64))
 
 
+def _node_errors(states: np.ndarray) -> np.ndarray:
+    """Per-node errors of a stack (..., N, n) of states: each node's 2-norm distance from the average."""
+    dev = states - states.mean(axis=-2, keepdims=True)
+    dev *= dev
+    return np.sqrt(dev.sum(axis=-1))
+
+
 def error_metrics(states: np.ndarray) -> tuple[float, np.ndarray]:
     """Total synchronization error and per-node errors.
 
     Per-node error is the 2-norm of the deviation from the average state;
     the total error is the mean of those norms.
     """
-    states = np.asarray(states, dtype=np.float64)
-    dev = states - states.mean(axis=0)
-    per_node = np.linalg.norm(dev, axis=1)
+    per_node = _node_errors(np.asarray(states, dtype=np.float64))
     return float(per_node.mean()), per_node
 
 
@@ -216,10 +224,8 @@ def simulate(config: SimConfig) -> SimulationRun:
             for x_next in states:
                 np.add(x, dt * (drift(x) + u(x)), out=x_next)
                 x = x_next
-            dev = states - states.mean(axis=1, keepdims=True)
-            dev *= dev
             e_blk = e_tot[start:stop]
-            np.sqrt(dev.sum(axis=2)).mean(axis=1, out=e_blk)
+            _node_errors(states).mean(axis=1, out=e_blk)
             bad = np.flatnonzero(~np.isfinite(e_blk))
             if bad.size:  # keep only the steps before the first non-finite e_tot
                 divergence_step = start + int(bad[0])
@@ -273,11 +279,11 @@ def write_run_csv(run: SimulationRun, path, per_node_errors: bool = False) -> No
         header += "," + ",".join(f"e_node_{i}" for i in range(n_nodes))
     lines = [header]
     step_of_frame = np.rint(run.trajectory_times / run.config.dt).astype(int)
+    node_errors = _node_errors(run.trajectory) if per_node_errors else None
     for frame, k in enumerate(step_of_frame):
         row = [_fmt(run.times[k]), _fmt(run.e_tot_series[k])]
         if per_node_errors:
-            _, per_node = error_metrics(run.trajectory[frame])
-            row.extend(_fmt(v) for v in per_node)
+            row.extend(_fmt(v) for v in node_errors[frame])
         lines.append(",".join(row))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

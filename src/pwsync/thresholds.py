@@ -97,14 +97,17 @@ def critical_gains(
     return c_star, cd_star
 
 
+def _strictly_positive(name: str, value: float) -> float:
+    """The value of the named inner-coupling measure, refused unless above POSITIVITY_TOLERANCE (NaN too)."""
+    if not value > POSITIVITY_TOLERANCE:
+        raise ValueError(f"hypothesis violated: {name} = {value:.6g} is not strictly positive")
+    return value
+
+
 def _discontinuous_measures(cert: SigmaQuadCertificate, gamma_d) -> tuple[float, float]:
     """mu_inf(M) and mu_inf_lower(P Gamma_d), the latter required strictly positive."""
     mil = mu_inf_lower(cert.p @ np.asarray(gamma_d, dtype=np.float64))
-    if mil <= POSITIVITY_TOLERANCE:
-        raise ValueError(
-            f"hypothesis violated: mu_inf_lower(P @ Gamma_d) = {mil:.6g} is not strictly positive"
-        )
-    return mu_inf(cert.m), mil
+    return mu_inf(cert.m), _strictly_positive("mu_inf_lower(P @ Gamma_d)", mil)
 
 
 def compute_thresholds(
@@ -134,11 +137,7 @@ def compute_thresholds(
     if not is_connected(g_discontinuous):
         raise ValueError("hypothesis violated: discontinuous layer graph is not connected")
 
-    m2l = mu2_lower(cert.p @ gamma)
-    if m2l <= POSITIVITY_TOLERANCE:
-        raise ValueError(
-            f"hypothesis violated: mu2_lower(P @ Gamma) = {m2l:.6g} is not strictly positive"
-        )
+    m2l = _strictly_positive("mu2_lower(P @ Gamma)", mu2_lower(cert.p @ gamma))
     mu_inf_m, mil = _discontinuous_measures(cert, gamma_d)
 
     lambda2 = algebraic_connectivity(g_diffusive)

@@ -116,7 +116,7 @@ def test_criterion_06_certificate_suite(relay, relay_cert):
     assert not ps.verify_sigma_quad(outward, cert(0.0), seed=0).holds
     assert ps.verify_sigma_quad(outward, cert(2.0), seed=0).holds
 
-    check = ps.verify_sigma_quad(relay, relay_cert, n_samples=100_000, radius=10.0, seed=0)
+    check = ps.verify_sigma_quad(relay, relay_cert, n_samples=100_000, seed=0)
     assert check.holds and check.n_checked >= 100_000
 
     elapsed = time.perf_counter() - t0

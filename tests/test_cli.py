@@ -77,6 +77,15 @@ def test_mindensity_heuristic_flag(tmp_path, capsys):
     assert repr(4 / 30) in text
 
 
+def test_mindensity_exact_flag(tmp_path, capsys):
+    out = tmp_path / "ring12.txt"
+    ps.write_graph_file(ps.ring_graph(12), out)
+    assert main(["mindensity", "--graph", str(out), "--exact"]) == 0
+    text = capsys.readouterr().out
+    assert f"delta = {1 / 3!r} (exact)" in text
+    assert "crossing edges b = 2, N1 = 6, N2 = 6" in text
+
+
 def test_mindensity_auto_heuristic_above_cap(tmp_path, capsys):
     out = tmp_path / "big.txt"
     ps.write_graph_file(ps.ring_graph(40), out)
@@ -108,6 +117,14 @@ def test_thresholds_report_relay_config(tmp_path, capsys):
     assert report["delta_method"] == "exact"
     assert report["certificate_verified"] is True
     assert "hypotheses" not in report
+
+
+def test_thresholds_json_to_stdout_follows_the_text_report(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["thresholds", "--config", str(cfg), "--json", str(tmp_path / "report.json")]) == 0
+    text = capsys.readouterr().out
+    assert main(["thresholds", "--config", str(cfg), "--json", "-"]) == 0
+    assert capsys.readouterr().out == text + (tmp_path / "report.json").read_text()
 
 
 def test_thresholds_smooth_system_zero_cd(tmp_path, capsys):
@@ -166,8 +183,18 @@ def test_config_explicit_m_is_used_as_given(tmp_path):
     [
         ("p", [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], "system.p:"),
         ("m", [[1.0, 0.0], [0.0, 1.0]], "system.m:"),
+        # Matrix and vector entries are finite JSON numbers: no strings, bools, NaN or infinities.
+        ("a", [["1.51", "1", "0"], ["-99.922", "0", "1"], ["-5", "0", "0"]], "system.a:"),
+        ("gamma", [[True, False, False], [False, True, False], [False, False, True]], "system.gamma:"),
+        ("gamma_d", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]], "system.gamma_d:"),
+        ("gamma", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, float("inf")]], "system.gamma:"),
+        ("m", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, "1"]], "system.m:"),
+        ("d", [0.0, float("-inf"), 0.0], "system.d:"),
+        ("d", [0.0, True, 0.0], "system.d:"),
+        ("a", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "system.a: expected a finite number, got [1.0, 0.0, 0.0]"),
     ],
-    ids=["non_spd_p", "misshapen_m"],
+    ids=["non_spd_p", "misshapen_m", "string_a", "bool_gamma", "nan_gamma_d", "inf_gamma", "string_m",
+         "inf_d", "bool_d", "ragged_a"],
 )
 def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix):
     doc = json.loads(write_config(tmp_path / "base.json").read_text())
@@ -209,6 +236,23 @@ def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix)
         (("sim",), "seed", -1, "sim.seed: expected a non-negative integer, got -1"),
         (("layers", "discontinuous"), "seed", -3,
          "layers.discontinuous.seed: expected a non-negative integer, got -3"),
+        # Float fields take only a finite JSON number: no numeric string, no bool, no NaN or infinity.
+        (("sim",), "dt", "1e-4", "sim.dt: expected a finite number, got '1e-4'"),
+        (("sim",), "dt", True, "sim.dt: expected a finite number, got True"),
+        (("gains",), "c", "60", "gains.c: expected a finite number, got '60'"),
+        (("layers", "discontinuous"), "p", "0.5", "layers.discontinuous.p: expected a finite number"),
+        (("sim",), "dt", float("nan"), "sim.dt: expected a finite number, got nan"),
+        (("sim",), "t_end", float("inf"), "sim.t_end: expected a finite number, got inf"),
+        (("sim",), "init_amplitude", float("-inf"), "sim.init_amplitude: expected a finite number"),
+        (("sim",), "smooth_epsilon", float("nan"), "sim.smooth_epsilon: expected a finite number"),
+        (("gains",), "cd", float("nan"), "gains.cd: expected a finite number, got nan"),
+        (("gains",), "c", 10**400, "gains.c: expected a finite number"),
+        (("layers", "discontinuous"), "p", float("inf"), "layers.discontinuous.p: expected a finite number"),
+        # Whole-document checks name the section.
+        ((), "version", 2, "version: unsupported config version 2"),
+        ((), "system", {}, "system.a: required state matrix is missing"),
+        (("layers", "diffusive"), "n", 9, "layers: diffusive and discontinuous layers must have the same N"),
+        ((), "gains", {"c": 60.0}, "gains: needs numeric 'c' and 'cd'"),
     ],
 )
 def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, prefix):
@@ -328,7 +372,7 @@ def test_simulate_refuses_infinite_t_end(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", sim={"dt": 1e-3, "t_end": float("inf"), "seed": 1})
     assert "Infinity" in cfg.read_text()
     assert main(["simulate", "--config", str(cfg)]) == 2
-    assert "t_end must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: sim.t_end: expected a finite number, got inf\n"
 
 
 @pytest.mark.parametrize("amplitude", [1e308, float("nan"), float("inf")])
@@ -352,6 +396,20 @@ def test_simulate_flag_overrides_document(tmp_path):
                  "--dt", "0.002", "--seed", "9"]) == 0
     meta = json.loads((tmp_path / "ov" / "run_meta.json").read_text())
     assert meta["dt"] == 0.002 and meta["init_seed"] == 9
+
+
+def test_simulate_gain_flags_override_document(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", gains="auto")
+    out = tmp_path / "ov"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--c", "12.5", "--cd", "3.0"]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert (meta["c"], meta["cd"]) == (12.5, 3.0)
+    assert not (out / "thresholds.json").exists()
+    assert "c=12.5 cd=3.0" in capsys.readouterr().out
+    # A non-finite gain is refused by name before anything runs.
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "nan"), "--c", "nan", "--cd", "1"]) == 2
+    assert capsys.readouterr().err == "error: c must be finite, got nan\n"
+    assert not (tmp_path / "nan" / "run.csv").exists()
 
 
 # ----------------------------------------------------------------------------

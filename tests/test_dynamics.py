@@ -102,7 +102,7 @@ def test_non_positive_definite_p_rejected(relay):
 
 
 def test_relay_certificate_holds(relay, relay_cert):
-    check = ps.verify_sigma_quad(relay, relay_cert, n_samples=100_000, radius=10.0, seed=1)
+    check = ps.verify_sigma_quad(relay, relay_cert, n_samples=100_000, seed=1)
     assert check.holds
     assert check.counterexample is None
     assert check.n_checked >= 100_000
@@ -110,7 +110,7 @@ def test_relay_certificate_holds(relay, relay_cert):
 
 def test_relay_without_jump_budget_is_falsified(relay, relay_cert):
     bare = ps.SigmaQuadCertificate(relay_cert.p, relay_cert.q, np.zeros((3, 3)))
-    check = ps.verify_sigma_quad(relay, bare, n_samples=100_000, radius=10.0, seed=1)
+    check = ps.verify_sigma_quad(relay, bare, n_samples=100_000, seed=1)
     assert not check.holds
     x1, x2 = check.counterexample
     # the returned pair genuinely violates the bound

@@ -22,3 +22,19 @@ def test_every_export_resolves_and_is_exported_by_its_defining_module():
         home = getattr(obj, "__module__", None)
         if home is not None:
             assert name in modules[home.rpartition(".")[2]].__all__, (name, home)
+
+
+def test_every_library_submodule_name_is_exported_and_simulate_is_the_function():
+    library = [
+        importlib.import_module(f"pwsync.{info.name}")
+        for info in pkgutil.iter_modules(ps.__path__)
+        if info.name not in ("__main__", "cli")
+    ]
+    assert len(library) == 8
+    for module in library:
+        missing = set(module.__all__) - set(ps.__all__)
+        assert not missing, (module.__name__, missing)
+    assert "graph_to_text" in ps.__all__
+    assert "main" not in ps.__all__ and "ExperimentConfig" not in ps.__all__
+    assert ps.simulate is importlib.import_module("pwsync.simulate").simulate
+    assert callable(ps.simulate)

@@ -477,6 +477,15 @@ def test_config_validation():
                          c=1.0, cd=1.0, init_amplitude=amplitude)
 
 
+@pytest.mark.parametrize("name", ["c", "cd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_config_refuses_non_finite_gain(name, bad):
+    g = ps.ring_graph(4)
+    gains = {"c": 1.0, "cd": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+        ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g, **gains)
+
+
 # ----------------------------------------------------------------------------
 # CSV and metadata output
 # ----------------------------------------------------------------------------

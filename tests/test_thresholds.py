@@ -144,6 +144,18 @@ def test_nonpositive_inner_coupling_measures_named(relay_cert):
         ps.compute_thresholds(relay_cert, np.eye(3), -np.eye(3), g, g)
 
 
+def test_nan_inner_coupling_measure_is_a_violated_hypothesis(relay_cert):
+    # NaN > tolerance is false, so a NaN measure fails the strict-positivity clause.
+    g = ps.ring_graph(4)
+    gamma_d = np.eye(3)
+    gamma_d[1, 1] = np.nan
+    match = r"hypothesis violated: mu_inf_lower\(P @ Gamma_d\) = nan is not strictly positive"
+    with pytest.raises(ValueError, match=match):
+        ps.compute_thresholds(relay_cert, np.eye(3), gamma_d, g, g)
+    with pytest.raises(ValueError, match=match):
+        ps.resilience_report(g, [[]], relay_cert, gamma_d)
+
+
 def test_mismatched_layer_sizes_rejected(relay_cert):
     with pytest.raises(ValueError, match="vertex set"):
         ps.compute_thresholds(relay_cert, np.eye(3), np.eye(3), ps.ring_graph(4), ps.ring_graph(5))
