@@ -28,7 +28,7 @@ from .graphs import (
 )
 from .min_density import min_density_exact, min_density_heuristic
 from .presets import relay_certificate, relay_feedback_system
-from .simulate import SimConfig, SimulationRun, simulate, write_run_csv, write_run_metadata
+from .simulate import SIGN_MODES, SimConfig, SimulationRun, _fmt, simulate, write_run_csv, write_run_metadata
 from .thresholds import ThresholdReport, compute_thresholds, min_density_auto, resilience_report
 
 __all__ = ["main", "ExperimentConfig", "load_experiment_config", "ConfigError"]
@@ -67,9 +67,14 @@ class ExperimentConfig:
     per_node_errors: bool = False
 
 
-def _expect_mapping(obj, path: str) -> dict:
+def _expect_mapping(obj, path: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object with no key outside `keys`; `path` is "" for the whole document."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    for key in obj:
+        if key not in keys:
+            where = f"{path}.{key}" if path else key
+            raise ConfigError(f"{where}: unknown key; expected one of {', '.join(keys)}")
     return obj
 
 
@@ -104,11 +109,12 @@ def _vector(obj, path: str, length: int) -> np.ndarray:
     return arr
 
 
-def _scalar(convert, value, path: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: expected {convert.__name__}, got {value!r}") from exc
+def _string(value, path: str, allowed: tuple[str, ...] | None = None) -> str:
+    """A JSON string, one of `allowed` when given; other values are refused, not converted."""
+    if not isinstance(value, str) or (allowed is not None and value not in allowed):
+        expected = "a string" if allowed is None else "one of " + ", ".join(map(repr, allowed))
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    return value
 
 
 def _integer(value, path: str) -> int:
@@ -132,15 +138,19 @@ def _flag(value, path: str) -> bool:
 
 
 def _parse_system(doc: dict) -> tuple[PwsVectorField, SigmaQuadCertificate, np.ndarray, np.ndarray]:
-    sys_doc = _expect_mapping(doc.get("system"), "system")
+    system_keys = ("a", "d", "switch_terms", "p", "m", "gamma", "gamma_d")
+    sys_doc = _expect_mapping(doc.get("system"), "system", system_keys)
     if "a" not in sys_doc:
         raise ConfigError("system.a: required state matrix is missing")
     a = _matrix(sys_doc["a"], "system.a")
     n = a.shape[0]
     d = _vector(sys_doc["d"], "system.d", n) if "d" in sys_doc else None
     terms = []
-    for i, item in enumerate(sys_doc.get("switch_terms", [])):
-        item = _expect_mapping(item, f"system.switch_terms[{i}]")
+    switch_terms = sys_doc.get("switch_terms", [])
+    if not isinstance(switch_terms, list):
+        raise ConfigError(f"system.switch_terms: expected a list, got {switch_terms!r}")
+    for i, item in enumerate(switch_terms):
+        item = _expect_mapping(item, f"system.switch_terms[{i}]", ("gain", "coordinate"))
         if "gain" not in item or "coordinate" not in item:
             raise ConfigError(f"system.switch_terms[{i}]: needs 'gain' and 'coordinate'")
         gain = _vector(item["gain"], f"system.switch_terms[{i}].gain", n)
@@ -169,10 +179,12 @@ def _parse_system(doc: dict) -> tuple[PwsVectorField, SigmaQuadCertificate, np.n
 
 
 def _parse_layer(doc, path: str, base_dir: Path) -> Graph:
-    layer = _expect_mapping(doc, path)
-    if "file" in layer:
+    is_file = isinstance(doc, dict) and "file" in doc
+    layer = _expect_mapping(doc, path, ("file",) if is_file else ("kind", "n", "l", "p", "seed"))
+    if is_file:
+        file = base_dir / _string(layer["file"], f"{path}.file")
         try:
-            return read_graph_file(base_dir / layer["file"])
+            return read_graph_file(file)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}.file: {exc}") from exc
     if "kind" not in layer or "n" not in layer:
@@ -181,8 +193,9 @@ def _parse_layer(doc, path: str, base_dir: Path) -> Graph:
     params = {key: read(layer[key], f"{path}.{key}") for key, read in readers.items() if key in layer}
     if "p" in layer:
         params["p"] = _number(layer["p"], f"{path}.p")
+    kind = _string(layer["kind"], f"{path}.kind")
     try:
-        return generate_topology(layer["kind"], **params)
+        return generate_topology(kind, **params)
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -195,13 +208,13 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    doc = _expect_mapping(doc, "config")
+    doc = _expect_mapping(doc, "", ("version", "system", "layers", "gains", "sim", "output"))
     version = doc.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"version: unsupported config version {version!r}")
 
     field, cert, gamma, gamma_d = _parse_system(doc)
-    layers = _expect_mapping(doc.get("layers"), "layers")
+    layers = _expect_mapping(doc.get("layers"), "layers", ("diffusive", "discontinuous"))
     g_diff = _parse_layer(layers.get("diffusive"), "layers.diffusive", path.parent)
     g_disc = _parse_layer(layers.get("discontinuous"), "layers.discontinuous", path.parent)
     if g_diff.n_vertices != g_disc.n_vertices:
@@ -210,13 +223,14 @@ def load_experiment_config(path) -> ExperimentConfig:
     gains = doc.get("gains", "auto")
     c = cd = None
     if gains != "auto":
-        gains = _expect_mapping(gains, "gains")
+        gains = _expect_mapping(gains, "gains", ("c", "cd"))
         if "c" not in gains or "cd" not in gains:
             raise ConfigError("gains: needs numeric 'c' and 'cd', or the string \"auto\"")
         c, cd = _number(gains["c"], "gains.c"), _number(gains["cd"], "gains.cd")
 
-    sim = _expect_mapping(doc.get("sim", {}), "sim")
-    out = _expect_mapping(doc.get("output", {}), "output")
+    sim_keys = ("dt", "t_end", "seed", "init_amplitude", "sign_mode", "smooth_epsilon")
+    sim = _expect_mapping(doc.get("sim", {}), "sim", sim_keys)
+    out = _expect_mapping(doc.get("output", {}), "output", ("directory", "decimation", "per_node_errors"))
     return ExperimentConfig(
         field=field,
         cert=cert,
@@ -230,9 +244,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         t_end=_number(sim.get("t_end", SimConfig.t_end), "sim.t_end"),
         seed=_seed(sim.get("seed", SimConfig.init_seed), "sim.seed"),
         init_amplitude=_number(sim.get("init_amplitude", SimConfig.init_amplitude), "sim.init_amplitude"),
-        sign_mode=_scalar(str, sim.get("sign_mode", SimConfig.sign_mode), "sim.sign_mode"),
+        sign_mode=_string(sim.get("sign_mode", SimConfig.sign_mode), "sim.sign_mode", SIGN_MODES),
         smooth_epsilon=_number(sim.get("smooth_epsilon", SimConfig.smooth_epsilon), "sim.smooth_epsilon"),
-        out_dir=_scalar(Path, out.get("directory", "."), "output.directory"),
+        out_dir=Path(_string(out.get("directory", "."), "output.directory")),
         decimation=_integer(out.get("decimation", SimConfig.decimation), "output.decimation"),
         per_node_errors=_flag(out.get("per_node_errors", False), "output.per_node_errors"),
     )
@@ -266,10 +280,6 @@ def _resolve_gains(cfg: ExperimentConfig) -> tuple[float, float, ThresholdReport
 # ----------------------------------------------------------------------------
 # Report formatting
 # ----------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # The numbers of a threshold report in text order: (JSON key and ThresholdReport attribute, text label).
@@ -425,7 +435,7 @@ def _cmd_resilience(args) -> int:
     labels = []
     removals = []
     for i, item in enumerate(doc):
-        item = _expect_mapping(item, f"scenarios[{i}]")
+        item = _expect_mapping(item, f"scenarios[{i}]", ("label", "remove"))
         labels.append(str(item.get("label", f"scenario_{i}")))
         edges = item.get("remove")
         if not isinstance(edges, list):

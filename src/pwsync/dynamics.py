@@ -113,6 +113,9 @@ class SigmaQuadCertificate:
         m = np.asarray(self.m, dtype=np.float64)
         if not (p.shape == q.shape == m.shape) or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("P, Q, M must be square matrices of matching shape")
+        for name, mat in (("P", p), ("Q", q), ("M", m)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(p, p.T, atol=1e-12):
             raise ValueError("P must be symmetric")
         if np.linalg.eigvalsh((p + p.T) / 2.0)[0] <= 0.0:

@@ -123,6 +123,31 @@ def incidence(g: Graph) -> np.ndarray:
     return b
 
 
+def _dense_laplacian(g: Graph) -> np.ndarray:
+    """The float64 Laplacian L = D - A, written from the edge list."""
+    u, v = g.edge_array()
+    lap = np.diag(g.degrees().astype(np.float64))
+    lap[u, v] = lap[v, u] = -1.0
+    return lap
+
+
+def _endpoints(g: Graph, n: int = 1) -> np.ndarray:
+    """(2, E*n) flat indices into an (N, n) stack of each edge's endpoint coordinates: u's row, v's row."""
+    return (np.stack(g.edge_array())[:, :, None] * n + np.arange(n)).reshape(2, -1)
+
+
+def _edge_product(uv: np.ndarray, x: np.ndarray, law=None) -> np.ndarray:
+    """B law(B^T x) for a stack x over the endpoint indices `uv` of `_endpoints`; L x when law is None.
+
+    One gather of the edge differences and one bincount scatter, so it is
+    *exactly* zero on a stack that is constant over the vertices (L @ x is not).
+    """
+    d = x.ravel()[uv]
+    y = d - d[::-1]  # rows x_u - x_v (B^T x) and x_v - x_u, exactly its negation
+    y = y if law is None else law(y)
+    return np.bincount(uv.ravel(), y.ravel(), x.size).reshape(x.shape)
+
+
 def is_connected(g: Graph) -> bool:
     """Whether every vertex is reachable from vertex 0; see `_induces_connected`."""
     return bool(_induces_connected(g, np.ones((1, g.n_vertices), dtype=bool))[0])
@@ -192,19 +217,14 @@ def algebraic_connectivity(g: Graph) -> float:
         theta = _lanczos_lambda2(g)
         if theta is not None and _lambda2_lower_bound(g, theta - 1e-9 * max(1.0, theta)) is not None:
             return theta
-    n = g.n_vertices
-    u, v = g.edge_array()
-    lap = np.zeros((n, n))  # the float64 L = D - A, written from the edge list
-    lap[u, v] = lap[v, u] = -1.0
-    lap.flat[:: n + 1] = g.degrees()
-    return float(np.linalg.eigvalsh(lap)[1])
+    return float(np.linalg.eigvalsh(_dense_laplacian(g))[1])
 
 
 def _lanczos_lambda2(g: Graph) -> float | None:
     """Smallest Ritz value of L on the complement of the ones vector; None if not converged.
 
     Lanczos (Lanczos 1950; Paige 1972) on the edge-list product
-    deg*x - A*x, from a fixed-seed start with the ones vector deflated. Each
+    `_edge_product`, from a fixed-seed start with the ones vector deflated. Each
     step is reorthogonalised in full, twice, against the basis and the ones
     vector. Every _LANCZOS_CHECK steps the tridiagonal matrix T_j is
     diagonalised, and its least eigenvalue theta is accepted once the Ritz
@@ -215,9 +235,8 @@ def _lanczos_lambda2(g: Graph) -> float | None:
     dimensions of the complement.
     """
     n = g.n_vertices
-    u, v = g.edge_array()
-    deg = g.degrees().astype(np.float64)
-    tol = 1e-13 * 2.0 * deg.max()
+    uv = _endpoints(g)
+    tol = 1e-13 * 2.0 * g.degrees().max()
     m = min(_LANCZOS_STEPS, n - 1)
     basis = np.empty((m, n))
     alpha, beta = np.zeros(m), np.empty(m)
@@ -226,7 +245,7 @@ def _lanczos_lambda2(g: Graph) -> float | None:
     basis[0] = q / np.linalg.norm(q)
     for j in range(m):
         q, done = basis[j], basis[: j + 1]
-        w = deg * q - np.bincount(u, q[v], minlength=n) - np.bincount(v, q[u], minlength=n)
+        w = _edge_product(uv, q)
         for _ in range(2):
             h = done @ w
             w -= h @ done
@@ -250,10 +269,9 @@ def _lambda2_lower_bound(g: Graph, s: float) -> float | None:
     `algebraic_connectivity` for the argument and eps.
     """
     n = g.n_vertices
-    u, v = g.edge_array()
-    a = np.ones((n, n))  # L + 11^T is 0 on edges and 1 off them, deg + 1 on the diagonal
-    a[u, v] = a[v, u] = 0.0
-    a.flat[:: n + 1] = (g.degrees() + 1.0) - s
+    a = _dense_laplacian(g)  # in place from here: no second N x N array
+    a += 1.0  # L + 11^T, small integers, so exact
+    a.flat[:: n + 1] -= s
     trace = float(a.trace())
     if not _cholesky_in_place(a):
         return None

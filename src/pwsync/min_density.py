@@ -58,10 +58,6 @@ _RESTARTS = 16
 _GAIN_BUDGET = 1 << 20
 
 
-def _crossing_count(side: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> int:
-    return int(np.count_nonzero(side[eu] != side[ev]))
-
-
 @dataclass(frozen=True)
 class Cut:
     """A bipartition of the vertex set; True marks side V1 (vertex 0 is in V1)."""
@@ -97,7 +93,7 @@ class Cut:
         if not side[0]:
             side, n1 = ~side, n - n1
         eu, ev = g.edge_array()
-        return cls(tuple(side.tolist()), n1, n - n1, _crossing_count(side, eu, ev))
+        return cls(tuple(side.tolist()), n1, n - n1, int(np.count_nonzero(side[eu] != side[ev])))
 
 
 @dataclass(frozen=True)
@@ -108,14 +104,12 @@ class MinDensityResult:
 
 
 def _require_connected(g: Graph) -> None:
+    if g.n_vertices < 2:
+        raise ValueError("minimum density needs at least two vertices")
     # b = 0 cuts exist for disconnected graphs; delta would be 0 and the
     # downstream discontinuous gain infinite, so refuse instead.
     if not is_connected(g):
         raise ValueError("minimum density is only defined for connected graphs")
-
-
-def _result_from_cut(cut: Cut, method: str) -> MinDensityResult:
-    return MinDensityResult(cut.density_times_half_n(), cut, method)
 
 
 # ----------------------------------------------------------------------------
@@ -154,8 +148,6 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
             f"exact enumeration capped at {max_vertices} vertices (got {n}); "
             "use min_density_heuristic"
         )
-    if n < 2:
-        raise ValueError("minimum density needs at least two vertices")
     n_lo = n // 2  # mask bits in the low block
     n_hi = n - 1 - n_lo
     first_hi = n_lo + 1  # vertex of high-block column 0
@@ -202,7 +194,8 @@ def min_density_exact(g: Graph, *, max_vertices: int = EXACT_VERTEX_CAP) -> MinD
             rev = _bit_reversed(lo_masks[lo_starts[lc] + c] + (hi_masks[r0 + r] << n_lo), n - 1)
             best = int(rev.min(initial=best))
     side = np.append(True, (best >> np.arange(n - 2, -1, -1)) & 1)  # reversed bit n-1-i is vertex i
-    return _result_from_cut(Cut.of(g, side), "exact")
+    cut = Cut.of(g, side)
+    return MinDensityResult(cut.density_times_half_n(), cut, "exact")
 
 
 def _bit_rows(n_bits: int) -> np.ndarray:
@@ -362,8 +355,6 @@ def min_density_heuristic(g: Graph, seed: int | None = None) -> MinDensityResult
     """
     _require_connected(g)
     n = g.n_vertices
-    if n < 2:
-        raise ValueError("minimum density needs at least two vertices")
     rng = np.random.default_rng(seed)
     adj = g.adjacency()
     nbrs = [np.flatnonzero(row).tolist() for row in adj]  # built once for every grown start
@@ -371,7 +362,8 @@ def min_density_heuristic(g: Graph, seed: int | None = None) -> MinDensityResult
     starts = np.array([_bfs_grown_side(g, k, rng, nbrs) if start < _RESTARTS // 2
                        else _uniform_side(n, k, rng)
                        for k in range(1, n // 2 + 1) for start in range(_RESTARTS)])
-    return _result_from_cut(_least_cut(g, _kl_refine(adj, starts)), "heuristic")
+    cut = _least_cut(g, _kl_refine(adj, starts))
+    return MinDensityResult(cut.density_times_half_n(), cut, "heuristic")
 
 
 def _least_cut(g: Graph, sides: np.ndarray) -> Cut:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import PwsVectorField
 # `incidence` is unused here, but bench/tracing.py wraps pwsync.simulate.incidence.
-from .graphs import Graph, graph_to_text, incidence  # noqa: F401
+from .graphs import Graph, _edge_product, _endpoints, graph_to_text, incidence  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -45,6 +45,9 @@ __all__ = [
     "write_run_csv",
     "write_run_metadata",
 ]
+
+
+SIGN_MODES = ("exact", "smoothed")
 
 
 @dataclass
@@ -85,7 +88,7 @@ class SimConfig:
             raise ValueError(f"t_end must be finite, got {self.t_end!r}")
         if not (0 < self.dt < self.t_end):
             raise ValueError("need 0 < dt < t_end")
-        if self.sign_mode not in ("exact", "smoothed"):
+        if self.sign_mode not in SIGN_MODES:
             raise ValueError(f"sign_mode must be 'exact' or 'smoothed', got {self.sign_mode!r}")
         if not np.isfinite(2.0 * self.init_amplitude):
             # rng.uniform(-a, a) needs the range 2a to be a finite float.
@@ -132,10 +135,8 @@ class SimulationRun:
 def _coupling_operator(config: SimConfig):
     """The map X -> U of stacked states (N, n) to control inputs, built once per config.
 
-    Each layer gathers the pairwise differences y = x_u - x_v over its edges
-    (B^T X) and scatters them back to both endpoints (B y), so the coupling
-    is *exactly* zero on the synchronization manifold; the L @ X form leaves
-    FMA-order residuals that a chaotic node field then amplifies.
+    Each layer is one `_edge_product`, exactly zero on the synchronization
+    manifold, followed by its gain matrix.
     """
     n = config.node_field.dimension
     sign = np.sign if config.sign_mode == "exact" else lambda y: np.tanh(y / config.smooth_epsilon)
@@ -144,18 +145,13 @@ def _coupling_operator(config: SimConfig):
         (config.graph_diffusive, config.c * config.gamma.T, None),
         (config.graph_discontinuous, config.cd * config.gamma_d.T, sign),
     ):
-        # Flat indices into X of every coordinate of each edge's endpoints: u's row, v's row.
-        uv = (np.stack(g.edge_array())[:, :, None] * n + np.arange(n)).reshape(2, -1)
-        if uv.size:
-            layers.append((uv, gain_t, law))
+        if g.n_edges:
+            layers.append((_endpoints(g, n), gain_t, law))
 
     def op(x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape)
         for uv, gain_t, law in layers:
-            d = x.ravel()[uv]
-            y = d - d[::-1]  # rows x_u - x_v (B^T X) and x_v - x_u, exactly its negation
-            y = y if law is None else law(y)
-            out -= np.bincount(uv.ravel(), y.ravel(), x.size).reshape(x.shape) @ gain_t  # B y
+            out -= _edge_product(uv, x, law) @ gain_t
         return out
 
     return op

@@ -137,7 +137,10 @@ def compute_thresholds(
     if not is_connected(g_discontinuous):
         raise ValueError("hypothesis violated: discontinuous layer graph is not connected")
 
-    m2l = _strictly_positive("mu2_lower(P @ Gamma)", mu2_lower(cert.p @ gamma))
+    p_gamma = cert.p @ gamma
+    # eigvalsh cannot take a non-finite P @ Gamma: refuse it as the NaN measure it is.
+    m2l = mu2_lower(p_gamma) if np.isfinite(p_gamma).all() else np.nan
+    m2l = _strictly_positive("mu2_lower(P @ Gamma)", m2l)
     mu_inf_m, mil = _discontinuous_measures(cert, gamma_d)
 
     lambda2 = algebraic_connectivity(g_diffusive)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +255,13 @@ def test_config_bad_certificate_matrix_names_field(tmp_path, key, value, prefix)
         ((), "system", {}, "system.a: required state matrix is missing"),
         (("layers", "diffusive"), "n", 9, "layers: diffusive and discontinuous layers must have the same N"),
         ((), "gains", {"c": 60.0}, "gains: needs numeric 'c' and 'cd'"),
+        # String fields take only a JSON string; sign_mode only one of the two modes.
+        (("sim",), "sign_mode", 5, "sim.sign_mode: expected one of 'exact', 'smoothed', got 5"),
+        (("sim",), "sign_mode", "fuzzy", "sim.sign_mode: expected one of 'exact', 'smoothed', got 'fuzzy'"),
+        (("output",), "directory", ["out"], "output.directory: expected a string, got ['out']"),
+        (("layers",), "discontinuous", {"file": 3}, "layers.discontinuous.file: expected a string, got 3"),
+        (("layers", "diffusive"), "kind", ["ring"], "layers.diffusive.kind: expected a string, got ['ring']"),
+        (("system",), "switch_terms", 5, "system.switch_terms: expected a list, got 5"),
     ],
 )
 def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, prefix):
@@ -268,6 +277,47 @@ def test_config_bad_scalar_names_field(tmp_path, capsys, where, key, value, pref
     assert str(info.value).startswith(prefix)
     assert main(["thresholds", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [((), "extra"), (("system",), "q"), (("system", "switch_terms", 0), "coord"), (("layers",), "third"),
+     (("layers", "diffusive"), "seed_"), (("layers", "discontinuous"), "P"), (("gains",), "cd_star"),
+     (("sim",), "tend"), (("output",), "decimaton")],
+    ids=["top", "system", "switch_term", "layers", "layer", "other_layer", "gains", "sim", "output"],
+)
+def test_config_unknown_key_is_refused_by_path(tmp_path, capsys, where, key):
+    doc = json.loads(write_config(tmp_path / "base.json").read_text())
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    path = ".".join([*(step for step in where if isinstance(step, str)), key])
+    path = path.replace("switch_terms.", "switch_terms[0].")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: unknown key"):
+        load_experiment_config(cfg)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: unknown key")
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_layer_takes_no_generator_keys(tmp_path):
+    ps.write_graph_file(ps.ring_graph(8), tmp_path / "ring8.txt")
+    layers = {"diffusive": {"kind": "ring", "n": 8}, "discontinuous": {"file": "ring8.txt"}}
+    assert load_experiment_config(write_config(tmp_path / "ok.json", layers=layers)).g_discontinuous.n_edges == 8
+    layers["discontinuous"]["n"] = 8
+    with pytest.raises(ConfigError, match=r"^layers\.discontinuous\.n: unknown key; expected one of file$"):
+        load_experiment_config(write_config(tmp_path / "cfg.json", layers=layers))
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+    (tmp_path / "experiment.json").write_text(block)
+    cfg = load_experiment_config(tmp_path / "experiment.json")
+    assert cfg.c is None and cfg.g_discontinuous.n_vertices == 30 and cfg.sign_mode == "exact"
 
 
 @pytest.mark.parametrize(
@@ -458,6 +508,7 @@ def test_resilience_bad_scenarios_file(tmp_path, capsys):
         ([{"remove": [[1]]}], "scenarios[0].remove[0]:"),
         ([{"remove": [[0, 1], [2, True]]}], "scenarios[0].remove[1][1]:"),
         ([{"remove": []}, {"remove": [[0, "1"]]}], "scenarios[1].remove[0][1]:"),
+        ([{"remove": [], "lable": "x"}], "scenarios[0].lable: unknown key"),
     ],
 )
 def test_resilience_bad_scenario_edge_names_its_path(tmp_path, capsys, scenarios, prefix):

@@ -122,6 +122,23 @@ def test_incidence_path3_reproduces_laplacian():
     assert np.array_equal(b @ b.T, _laplacian(g))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_edge_product_matches_the_dense_laplacian(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        size = int(rng.integers(2, 41))
+        g = ps.Graph(size, {tuple(sorted(e)) for e in rng.integers(0, size, (3 * size, 2)) if e[0] != e[1]})
+        uv = graphs._endpoints(g, n)
+        x = rng.normal(scale=5.0, size=(size, n) if n > 1 else size)
+        lx = graphs._edge_product(uv, x)
+        np.testing.assert_allclose(lx, _laplacian(g) @ x, rtol=0, atol=1e-12 * max(1, g.n_edges))
+        b = ps.incidence(g)
+        assert np.array_equal(graphs._edge_product(uv, x, np.sign), b @ np.sign(b.T @ x))
+        constant = np.broadcast_to(x[0], x.shape)
+        assert np.all(graphs._edge_product(uv, constant) == 0.0)
+        assert np.all(graphs._edge_product(uv, constant, np.sign) == 0.0)
+
+
 def test_incidence_empty_edge_set():
     b = ps.incidence(ps.Graph(3))
     assert b.shape == (3, 0)

@@ -156,6 +156,28 @@ def test_nan_inner_coupling_measure_is_a_violated_hypothesis(relay_cert):
         ps.resilience_report(g, [[]], relay_cert, gamma_d)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "matrix, match",
+    [("p", "P must be finite"), ("q", "Q must be finite"), ("m", "M must be finite"),
+     ("gamma", r"mu2_lower\(P @ Gamma\) = nan"), ("gamma_d", r"mu_inf_lower\(P @ Gamma_d\) = ")],
+    ids=["P", "Q", "M", "Gamma", "Gamma_d"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_matrix_is_refused_by_name(relay_cert, matrix, match, bad):
+    # Refused before any eigen-solve: no LinAlgError, and no report with cd_star = nan.
+    mats = {"p": relay_cert.p, "q": relay_cert.q, "m": relay_cert.m, "gamma": np.eye(3), "gamma_d": np.eye(3)}
+    mats[matrix] = mats[matrix].copy()
+    mats[matrix][2, 2] = bad
+    g = ps.ring_graph(4)
+    with pytest.raises(ValueError, match=match):
+        cert = ps.SigmaQuadCertificate(mats["p"], mats["q"], mats["m"])
+        ps.compute_thresholds(cert, mats["gamma"], mats["gamma_d"], g, g)
+    if matrix == "gamma_d":
+        with pytest.raises(ValueError, match=match):
+            ps.resilience_report(g, [[]], relay_cert, mats["gamma_d"])
+
+
 def test_mismatched_layer_sizes_rejected(relay_cert):
     with pytest.raises(ValueError, match="vertex set"):
         ps.compute_thresholds(relay_cert, np.eye(3), np.eye(3), ps.ring_graph(4), ps.ring_graph(5))
