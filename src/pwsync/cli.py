@@ -436,7 +436,7 @@ def _cmd_resilience(args) -> int:
     removals = []
     for i, item in enumerate(doc):
         item = _expect_mapping(item, f"scenarios[{i}]", ("label", "remove"))
-        labels.append(str(item.get("label", f"scenario_{i}")))
+        labels.append(_string(item.get("label", f"scenario_{i}"), f"scenarios[{i}].label"))
         edges = item.get("remove")
         if not isinstance(edges, list):
             raise ConfigError(f"scenarios[{i}].remove: expected a list of [i, j] pairs")

@@ -43,7 +43,10 @@ class SwitchTerm:
     coordinate: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gain", np.asarray(self.gain, dtype=np.float64).reshape(-1))
+        gain = np.asarray(self.gain, dtype=np.float64).reshape(-1)
+        if not np.isfinite(gain).all():
+            raise ValueError(f"switch gain on coordinate {self.coordinate} must be finite")
+        object.__setattr__(self, "gain", gain)
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,10 @@ class PwsVectorField:
         d = np.zeros(n) if self.d is None else np.asarray(self.d, dtype=np.float64).reshape(-1)
         if d.shape != (n,):
             raise ValueError(f"offset must have length {n}, got {d.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("state matrix must be finite")
+        if self.d is not None and not np.isfinite(d).all():
+            raise ValueError("offset must be finite")
         terms = tuple(self.switch_terms)
         for term in terms:
             if term.gain.shape != (n,):

@@ -175,7 +175,9 @@ def _induces_connected(g: Graph, sides: np.ndarray) -> np.ndarray:
 DENSE_LAMBDA2_CAP = 500  # largest N whose lambda2 comes from every eigenvalue of the dense L
 _LANCZOS_STEPS = 300  # Lanczos step budget above the cap, whatever N
 _LANCZOS_CHECK = 10  # steps between convergence checks (one tridiagonal eigh each)
+_LANCZOS_RESIDUAL = 1e-9  # Ritz residual, relative to 2*d_max >= ||L||_2, at which the proof takes over
 _CHOLESKY_PANEL = 128  # columns per panel of the blocked Cholesky
+_CHOLESKY_LEAF = 32  # most columns a panel solve substitutes one by one
 
 
 def algebraic_connectivity(g: Graph) -> float:
@@ -188,7 +190,11 @@ def algebraic_connectivity(g: Graph) -> float:
 
     Estimate. `_lanczos_lambda2` returns the smallest Ritz value theta of L
     on the complement of the ones vector. Its Ritz vector lies in that
-    complement, so theta >= lambda2 up to rounding.
+    complement, so theta >= lambda2 up to rounding. Lanczos stops once the
+    Ritz residual is small enough for the proof below to succeed on a
+    typical gap; the residual bounds theta's error only through that gap,
+    which is not known, so it is the proof, not the residual, that
+    certifies theta.
 
     Proof. L + 11^T has the eigenvalue N on the ones vector and lambda2..lambdaN
     on its complement, and lambdaN <= N for a simple graph, so its least
@@ -208,8 +214,10 @@ def algebraic_connectivity(g: Graph) -> float:
     itself. So lambda2 lies in [s - eps, theta]; on ER(1000, 8/999) layers
     eps is about 0.9e-9 and the bracket about 2e-9 wide.
 
-    The value returned is theta, not s - eps: theta agrees with `eigvalsh` to
-    rounding (about 1e-14 at N = 1000), while s - eps is 2e-9 below it.
+    The value returned is theta, not s - eps: on ER(600..1200, d/(N - 1))
+    layers theta agrees with `eigvalsh` to 1e-13 relative, while s - eps is
+    2e-9 below it. The proof does not depend on where Lanczos stopped or on
+    the order in which `_cholesky_in_place` sums its inner products.
     """
     if g.n_vertices < 2:
         raise ValueError("algebraic connectivity needs at least two vertices")
@@ -228,15 +236,28 @@ def _lanczos_lambda2(g: Graph) -> float | None:
     step is reorthogonalised in full, twice, against the basis and the ones
     vector. Every _LANCZOS_CHECK steps the tridiagonal matrix T_j is
     diagonalised, and its least eigenvalue theta is accepted once the Ritz
-    residual ||L y - theta y|| = |beta_j s_{j,1}| is at most 1e-13*2*d_max,
-    where 2*d_max >= ||L||_2. A beta_j that small means the basis spans an
-    invariant subspace, so the check runs then too; the next vector would be
-    rounding noise. The budget is _LANCZOS_STEPS steps, or the N - 1
-    dimensions of the complement.
+    residual r = ||L y - theta y|| = |beta_j s_{j,1}| is at most
+    _LANCZOS_RESIDUAL*2*d_max, where 2*d_max >= ||L||_2. A beta_j that small
+    means the basis spans an invariant subspace, so the check runs then too;
+    the next vector would be rounding noise. The budget is _LANCZOS_STEPS
+    steps, or the N - 1 dimensions of the complement.
+
+    Why 1e-9. Some eigenvalue lies within r of theta, and if gap is the
+    distance from theta to every other eigenvalue of L on the complement,
+    theta is within r^2/gap of that eigenvalue (Kato-Temple; Parlett,
+    The Symmetric Eigenvalue Problem, Sec. 11). Here r <= 2e-9*d_max, so for
+    d_max <= 30 the error r^2/gap is at most 3.6e-15/gap: below
+    1e-12*max(1, theta) whenever gap >= 3.6e-3. ER(N, d/(N - 1)) layers with
+    N = 600 to 1200 and d = 6 to 12 have gaps of 9e-3 to 1.4. The proof in
+    `algebraic_connectivity` needs only theta - lambda2 below its margin
+    1e-9*max(1, theta). If theta converged to another eigenvalue, or the gap
+    is too small, the proof fails and the dense path runs. A residual of
+    1e-13*2*d_max costs 20 to 30 more steps per N = 1000 layer and leaves
+    theta no closer to `eigvalsh`.
     """
     n = g.n_vertices
     uv = _endpoints(g)
-    tol = 1e-13 * 2.0 * g.degrees().max()
+    tol = _LANCZOS_RESIDUAL * 2.0 * g.degrees().max()
     m = min(_LANCZOS_STEPS, n - 1)
     basis = np.empty((m, n))
     alpha, beta = np.zeros(m), np.empty(m)
@@ -269,9 +290,10 @@ def _lambda2_lower_bound(g: Graph, s: float) -> float | None:
     `algebraic_connectivity` for the argument and eps.
     """
     n = g.n_vertices
-    a = _dense_laplacian(g)  # in place from here: no second N x N array
-    a += 1.0  # L + 11^T, small integers, so exact
-    a.flat[:: n + 1] -= s
+    u, v = g.edge_array()
+    a = np.ones((n, n))  # L + 11^T: 0 on an edge, 1 off it; in place from here, no second N x N array
+    a[u, v] = a[v, u] = 0.0
+    a.flat[:: n + 1] = (g.degrees() + 1.0) - s  # deg + 1 is exact, so the diagonal is rounded once
     trace = float(a.trace())
     if not _cholesky_in_place(a):
         return None
@@ -279,35 +301,55 @@ def _lambda2_lower_bound(g: Graph, s: float) -> float | None:
     return s - 1.01 * k_u / (1.0 - k_u) * trace
 
 
-
 def _cholesky_in_place(a: np.ndarray) -> bool:
     """Overwrite the lower triangle of symmetric `a` with its Cholesky factor; False if not positive definite.
 
     Left-looking, in panels of _CHOLESKY_PANEL columns: a panel's update by
     the columns before it is one matmul, its diagonal block is factored by
-    `numpy.linalg.cholesky`, and the rows below are solved against that
-    factor with `numpy.linalg.solve`. The solve is given the factor with its
-    index order reversed, which is upper triangular, so LU with partial
-    pivoting swaps no rows, its multipliers are zero, and it reduces to
-    substitution.
-    Every entry is therefore the Cholesky recurrence with its inner product
-    summed in another order, as Higham's Thm 10.3 allows. Only one panel's
-    temporaries are allocated besides `a`; the strict upper triangle is left
-    as it was, apart from the diagonal blocks.
+    `numpy.linalg.cholesky`, and the rows below are solved in place against
+    that factor by `_solve_panel`. Every entry is therefore the Cholesky
+    recurrence, its entry minus an inner product summed in another order,
+    then one division by the pivot. Higham's Thm 10.3 holds for any such
+    order, so the bound and eps of `algebraic_connectivity` are unchanged.
+    Only panel-sized temporaries are allocated besides `a`; the strict upper
+    triangle is left as it was, apart from the diagonal blocks.
     """
     n = len(a)
     for j0 in range(0, n, _CHOLESKY_PANEL):
         j1 = min(j0 + _CHOLESKY_PANEL, n)
         if j0:
-            a[j0:, j0:j1] -= a[j0:, :j0] @ a[j0:j1, :j0].T
+            panel = a[j0:, j0:j1]  # a view: `-=` on it writes nothing back through __setitem__
+            panel -= a[j0:, :j0] @ a[j0:j1, :j0].T
         try:
-            l11 = np.linalg.cholesky(a[j0:j1, j0:j1])
+            a[j0:j1, j0:j1] = np.linalg.cholesky(a[j0:j1, j0:j1])
         except np.linalg.LinAlgError:
             return False
-        a[j0:j1, j0:j1] = l11
         if j1 < n:
-            a[j1:, j0:j1] = np.linalg.solve(l11[::-1, ::-1], a[j1:, j0:j1].T[::-1])[::-1].T
+            _solve_panel(a[j1:, j0:j1], a[j0:j1, j0:j1])
     return True
+
+
+def _solve_panel(x: np.ndarray, l: np.ndarray) -> None:
+    """Overwrite x with the X that solves X l^T = x, for l lower triangular (its upper part is not read).
+
+    Recursive halving: solve the left half of the columns, subtract its
+    contribution from the right half with one matmul, solve the right half.
+    Leaves of at most _CHOLESKY_LEAF columns are substituted column by column
+    on a row-major copy: x_c = (x_c - X_{<c} l_{c,<c}) / l_cc.
+    """
+    k = len(l)
+    if k > _CHOLESKY_LEAF:
+        h = k // 2
+        _solve_panel(x[:, :h], l[:h, :h])
+        right = x[:, h:]
+        right -= x[:, :h] @ l[h:, :h].T
+        _solve_panel(right, l[h:, h:])
+        return
+    xt = x.T.copy()
+    for c, row in enumerate(xt):
+        row -= l[c, :c] @ xt[:c]
+        row /= l[c, c]
+    x[...] = xt.T
 
 
 # ----------------------------------------------------------------------------

@@ -81,6 +81,9 @@ class SimConfig:
         )
         if self.gamma.shape != (n, n) or self.gamma_d.shape != (n, n):
             raise ValueError(f"inner coupling matrices must be {n}x{n}")
+        for name, mat in (("gamma", self.gamma), ("gamma_d", self.gamma_d)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be finite")
         for name, gain in (("c", self.c), ("cd", self.cd)):
             if not np.isfinite(gain):
                 raise ValueError(f"{name} must be finite, got {gain!r}")

@@ -509,10 +509,14 @@ def test_resilience_bad_scenarios_file(tmp_path, capsys):
         ([{"remove": [[0, 1], [2, True]]}], "scenarios[0].remove[1][1]:"),
         ([{"remove": []}, {"remove": [[0, "1"]]}], "scenarios[1].remove[0][1]:"),
         ([{"remove": [], "lable": "x"}], "scenarios[0].lable: unknown key"),
+        ([{"label": [1, None], "remove": []}], "scenarios[0].label: expected a string, got [1, None]"),
+        ([{"remove": []}, {"label": 3, "remove": []}], "scenarios[1].label: expected a string, got 3"),
+        ([{"label": None, "remove": []}], "scenarios[0].label: expected a string, got None"),
     ],
 )
 def test_resilience_bad_scenario_edge_names_its_path(tmp_path, capsys, scenarios, prefix):
-    # An endpoint must be a JSON integer and an edge a pair; nothing is truncated.
+    # An endpoint must be a JSON integer, an edge a pair and a label a string; nothing is
+    # truncated or converted.
     cfg = write_config(tmp_path / "cfg.json")
     scn = tmp_path / "scn.json"
     scn.write_text(json.dumps({"scenarios": scenarios}))

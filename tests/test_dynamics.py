@@ -59,6 +59,16 @@ def test_field_validation():
         ps.PwsVectorField(a=np.eye(2), switch_terms=(ps.SwitchTerm(np.ones(2), 2),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_refuses_non_finite_entries_by_name(bad):
+    with pytest.raises(ValueError, match="^state matrix must be finite$"):
+        ps.PwsVectorField(a=np.array([[0.0, bad], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="^offset must be finite$"):
+        ps.PwsVectorField(a=np.eye(2), d=np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="^switch gain on coordinate 1 must be finite$"):
+        ps.SwitchTerm(np.array([bad, 1.0]), 1)
+
+
 # ----------------------------------------------------------------------------
 # Certificate construction
 # ----------------------------------------------------------------------------

@@ -421,6 +421,78 @@ def test_cholesky_in_place_matches_numpy_across_panels():
     assert not graphs._cholesky_in_place(indefinite)
 
 
+def test_proof_matrix_is_laplacian_plus_ones_minus_shift_bit_for_bit(monkeypatch):
+    g = ps.erdos_renyi_graph(120, 0.05, seed=3)
+    s = 0.3 - 1e-9 * 0.3
+    seen = []
+    monkeypatch.setattr(graphs, "_cholesky_in_place", lambda a: seen.append(a.copy()) or False)
+    assert graphs._lambda2_lower_bound(g, s) is None
+    expected = graphs._dense_laplacian(g) + 1.0
+    expected.flat[:: g.n_vertices + 1] -= s
+    assert seen[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 31, 127, 128, 129, 300, 385])
+def test_cholesky_in_place_matches_numpy(n):
+    # Sizes around the 128-column panels and the 32-column leaves of the panel solve.
+    x = np.random.default_rng(n).standard_normal((n, n))
+    spd = x @ x.T + n * np.eye(n)
+    a = spd.copy()
+    assert graphs._cholesky_in_place(a)
+    expected = np.linalg.cholesky(spd)
+    assert np.abs(np.tril(a) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("k", [5, 160, 200, 384], ids=["panel0", "after_leaf", "middle_panel", "last_panel"])
+def test_cholesky_in_place_refuses_the_first_non_positive_pivot(k):
+    # A = R D R^T with R unit lower triangular has the Cholesky pivots D, so D[k]
+    # places the first non-positive pivot at column k of N = 385 (panels 0-127,
+    # 128-255, 256-384; column 160 follows the first leaf of the second panel).
+    n = 385
+    rng = np.random.default_rng(k)
+    r = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    d = rng.uniform(1.0, 2.0, n)
+    d[k] = 1e-3
+    a = (r * d) @ r.T
+    assert graphs._cholesky_in_place(a)
+    expected = r * np.sqrt(d)
+    assert np.abs(np.tril(a) - expected).max() <= 1e-10 * np.abs(expected).max()
+    d[k] = -1e-3
+    assert not graphs._cholesky_in_place((r * d) @ r.T)
+
+
+@pytest.mark.parametrize("d", [6, 8, 12])
+@pytest.mark.parametrize("n", [600, 1000, 1200])
+def test_lanczos_stopping_rule_leaves_theta_at_eigvalsh_and_proved(n, d):
+    g = ps.erdos_renyi_graph(n, d / (n - 1), seed=1)
+    theta = graphs._lanczos_lambda2(g)
+    expected = _dense_lambda2(g)
+    assert theta is not None and abs(theta - expected) <= 1e-12 * max(1.0, expected)
+    lower = graphs._lambda2_lower_bound(g, theta - 1e-9 * max(1.0, theta))
+    assert lower is not None and lower <= expected
+    assert ps.algebraic_connectivity(g) == theta
+
+
+def test_lanczos_stops_in_fewer_steps_than_the_old_residual_rule(monkeypatch):
+    # The two layers of the large_sparse benchmark workload at seed 0; each
+    # Lanczos step is one _edge_product call.
+    seeds = np.random.default_rng(0).integers(2**31, size=3)[:2]
+    layers = [graphs.generate_topology("erdos_renyi", 1000, p=8 / 999, seed=int(s)) for s in seeds]
+    calls = []
+    product = graphs._edge_product
+    monkeypatch.setattr(graphs, "_edge_product", lambda *args: calls.append(1) or product(*args))
+
+    def steps(g, residual):
+        monkeypatch.setattr(graphs, "_LANCZOS_RESIDUAL", residual)
+        calls.clear()
+        assert graphs._lanczos_lambda2(g) is not None
+        return len(calls)
+
+    new = [steps(g, graphs._LANCZOS_RESIDUAL) for g in layers]
+    old = [steps(g, 1e-13) for g in layers]
+    assert all(a < b for a, b in zip(new, old))  # 120 and 60 steps against 140 and 80
+
+
 def test_lambda2_above_the_cap_is_the_same_on_every_call():
     g = ps.erdos_renyi_graph(800, 8 / 799, seed=5)
     assert graphs._lanczos_lambda2(g) is not None

@@ -486,6 +486,15 @@ def test_config_refuses_non_finite_gain(name, bad):
         ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g, **gains)
 
 
+@pytest.mark.parametrize("name", ["gamma", "gamma_d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_config_refuses_non_finite_inner_coupling(name, bad):
+    g = ps.ring_graph(4)
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        ps.SimConfig(node_field=free_particle(), graph_diffusive=g, graph_discontinuous=g,
+                     c=1.0, cd=1.0, **{name: np.array([[bad]])})
+
+
 # ----------------------------------------------------------------------------
 # CSV and metadata output
 # ----------------------------------------------------------------------------
